@@ -181,7 +181,19 @@ impl DpmKind {
             "tismdp" => Ok(DpmKind::Tismdp { delay_weight: 2.0 }),
             other => {
                 if let Some(t) = other.strip_prefix("timeout:") {
-                    let timeout_s: f64 = t.parse().map_err(|_| format!("invalid timeout `{t}`"))?;
+                    // The simulator clock ticks in whole nanoseconds: a
+                    // timeout must survive that conversion as a positive,
+                    // representable span.
+                    let timeout_s = t
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|&s| s >= 1e-9 && s * 1e9 <= u64::MAX as f64)
+                        .ok_or_else(|| {
+                            format!(
+                                "invalid timeout in `{other}` \
+                                 (expected finite seconds, at least the 1 ns clock resolution)"
+                            )
+                        })?;
                     Ok(DpmKind::FixedTimeout {
                         timeout_s,
                         state: SleepState::Standby,
@@ -465,6 +477,31 @@ mod tests {
         );
         assert!(DpmKind::parse("sleepy").is_err());
         assert!(DpmKind::parse("timeout:soon").is_err());
+    }
+
+    #[test]
+    fn timeout_must_be_a_representable_positive_span() {
+        assert_eq!(
+            DpmKind::parse("timeout:1e-9"),
+            Ok(DpmKind::FixedTimeout {
+                timeout_s: 1e-9,
+                state: SleepState::Standby,
+            })
+        );
+        for bad in [
+            "timeout:1e-300",
+            "timeout:9e-10",
+            "timeout:0",
+            "timeout:-1",
+            "timeout:nan",
+            "timeout:inf",
+            "timeout:1e300",
+            "timeout:soon",
+        ] {
+            let err = DpmKind::parse(bad).expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+            assert!(err.contains("1 ns"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -57,8 +57,8 @@ mod keys {
 
 /// Registry/trace key for an operating point: frequency in tenths of a
 /// MHz, matching [`SimReport::freq_secs`] quantization.
-fn freq_key(op: OperatingPoint) -> u32 {
-    (op.freq_mhz * 10.0).round() as u32
+fn freq_key(freq_mhz: f64) -> u32 {
+    (freq_mhz * 10.0).round() as u32
 }
 
 /// Core voltage in integer millivolts for the trace wire format.
@@ -122,9 +122,11 @@ enum Mode {
 struct HotStats {
     /// Residency per [`TraceMode::index`] (5 modes).
     mode_ns: [u64; 5],
-    /// Decode residency per frequency key; the SmartBadge exposes ~10
-    /// operating points, so a linear scan beats any map.
-    freq_ns: Vec<(u32, u64)>,
+    /// Decode residency per frequency, keyed by the MHz value's bits so
+    /// an accounting interval costs an integer compare, not a rounding;
+    /// [`HotStats::flush`] quantizes to [`freq_key`]. The SmartBadge
+    /// exposes ~10 operating points, so a linear scan beats any map.
+    freq_ns: Vec<(u64, u64)>,
     frames_completed: u64,
     freq_switches: u64,
     sleeps: u64,
@@ -137,14 +139,14 @@ struct HotStats {
 
 impl HotStats {
     #[inline]
-    fn add_freq_ns(&mut self, key: u32, ns: u64) {
+    fn add_freq_ns(&mut self, freq_bits: u64, ns: u64) {
         for e in &mut self.freq_ns {
-            if e.0 == key {
+            if e.0 == freq_bits {
                 e.1 += ns;
                 return;
             }
         }
-        self.freq_ns.push((key, ns));
+        self.freq_ns.push((freq_bits, ns));
     }
 
     #[inline]
@@ -164,9 +166,9 @@ impl HotStats {
                 metrics.add_span_ns(keys::MODE_NS, idx as u32, ns);
             }
         }
-        for &(key, ns) in &self.freq_ns {
+        for &(bits, ns) in &self.freq_ns {
             if ns > 0 {
-                metrics.add_span_ns(keys::FREQ_NS, key, ns);
+                metrics.add_span_ns(keys::FREQ_NS, freq_key(f64::from_bits(bits)), ns);
             }
         }
         for (name, n) in [
@@ -201,9 +203,8 @@ impl Mode {
 
 /// Simulates one workload trace under one configuration.
 ///
-/// The lifetime `'t` is that of an optionally attached [`TraceSink`];
-/// untraced simulators (the default, via [`SystemSimulator::new`]) leave
-/// it unconstrained.
+/// The lifetime `'t` covers the borrowed workload [`Trace`] and any
+/// attached [`TraceSink`] or monitor.
 pub struct SystemSimulator<'t> {
     badge: SmartBadge,
     costs: DpmCosts,
@@ -213,7 +214,7 @@ pub struct SystemSimulator<'t> {
     injector: FaultInjector,
 
     queue: LaneQueue<Event, LANES>,
-    frames: Vec<FrameRecord>,
+    frames: &'t [FrameRecord],
     buffer: FrameBuffer<FrameRecord>,
     mode: Mode,
     profile: PowerProfile,
@@ -270,7 +271,7 @@ impl<'t> SystemSimulator<'t> {
     /// # Errors
     ///
     /// Returns an error if the power manager rejects the configuration.
-    pub fn new(trace: &Trace, config: SystemConfig, seed: u64) -> Result<Self, PmError> {
+    pub fn new(trace: &'t Trace, config: SystemConfig, seed: u64) -> Result<Self, PmError> {
         Self::new_shared(
             trace,
             config,
@@ -288,7 +289,7 @@ impl<'t> SystemSimulator<'t> {
     ///
     /// Returns an error if the power manager rejects the configuration.
     pub fn new_shared(
-        trace: &Trace,
+        trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
         shared: &crate::resolve::SharedResources,
@@ -322,11 +323,14 @@ impl<'t> SystemSimulator<'t> {
             manager,
             rng: base_rng.fork("system"),
             injector,
-            // One lane per event kind; only surplus sleep commands ever
-            // spill, so a modest preallocation keeps the hot loop free
-            // of heap growth for any workload.
-            queue: LaneQueue::with_spill_capacity(16),
-            frames: trace.frames().to_vec(),
+            // Only sleep commands spill, and stale ones stay queued
+            // until their time (a TISMDP plan's off step lies minutes
+            // out, so thousands can be pending). Each frame ends at most
+            // one idle period and each plan holds at most two steps, so
+            // this bound keeps the hot loop free of heap growth for any
+            // policy; pages are touched only as the list fills.
+            queue: LaneQueue::with_spill_capacity(2 * (trace.frames().len() + 1)),
+            frames: trace.frames(),
             buffer,
             mode: Mode::Idle,
             profile,
@@ -362,7 +366,7 @@ impl<'t> SystemSimulator<'t> {
     ///
     /// Returns an error if the power manager rejects the configuration.
     pub fn new_traced(
-        trace: &Trace,
+        trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
         sink: &'t mut dyn TraceSink,
@@ -379,7 +383,7 @@ impl<'t> SystemSimulator<'t> {
     ///
     /// Returns an error if the power manager rejects the configuration.
     pub fn new_traced_shared(
-        trace: &Trace,
+        trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
         shared: &crate::resolve::SharedResources,
@@ -613,7 +617,8 @@ impl<'t> SystemSimulator<'t> {
             self.metrics.advance_ns(ns);
             self.hot.mode_ns[self.mode.key().trace_mode().index() as usize] += ns;
             if matches!(self.mode, Mode::Decoding) {
-                self.hot.add_freq_ns(freq_key(self.physical_op), ns);
+                self.hot
+                    .add_freq_ns(self.physical_op.freq_mhz.to_bits(), ns);
             }
             self.last_account = now;
         }
@@ -806,8 +811,8 @@ impl<'t> SystemSimulator<'t> {
                 if TRACED {
                     self.emit(TraceEvent::FreqSwitch {
                         at: now,
-                        from_tenths_mhz: freq_key(from),
-                        to_tenths_mhz: freq_key(desired),
+                        from_tenths_mhz: freq_key(from.freq_mhz),
+                        to_tenths_mhz: freq_key(desired.freq_mhz),
                         from_mv: millivolts(from),
                         to_mv: millivolts(desired),
                     });
@@ -819,7 +824,7 @@ impl<'t> SystemSimulator<'t> {
         if TRACED {
             self.emit(TraceEvent::DecodeStart {
                 at: now,
-                freq_tenths_mhz: freq_key(self.physical_op),
+                freq_tenths_mhz: freq_key(self.physical_op.freq_mhz),
             });
         }
         let stretch = self.manager.dvs().stretch(frame.kind, self.physical_op);
@@ -846,7 +851,7 @@ impl<'t> SystemSimulator<'t> {
             self.emit(TraceEvent::FrameDone {
                 at: now,
                 delay_s,
-                freq_tenths_mhz: freq_key(self.physical_op),
+                freq_tenths_mhz: freq_key(self.physical_op.freq_mhz),
             });
         }
         let was_degraded = TRACED && self.manager.is_degraded();
@@ -896,7 +901,7 @@ impl<'t> SystemSimulator<'t> {
             self.emit(TraceEvent::IdleEnter { at: now });
         }
         let plan = self.manager.plan_idle(&mut self.rng);
-        for (after, state) in plan.transitions {
+        for &(after, state) in plan.transitions() {
             self.queue.push(
                 LANE_SLEEP,
                 now.saturating_add(after),

@@ -2,8 +2,9 @@
 //! budget: after a warm-up run, a full simulation — construction, event
 //! loop, end-of-trace drain, report assembly — performs a **fixed**
 //! number of heap allocations, independent of how many clips (and hence
-//! events) the workload contains. A per-event or per-clip allocation in
-//! the kernel shows up here as a count that grows with the trace.
+//! events) the workload contains, under every DPM policy. A per-event,
+//! per-idle-period or per-clip allocation in the kernel or a policy
+//! shows up here as a count that grows with the trace.
 //!
 //! This file holds exactly one `#[test]` so no concurrently running test
 //! in the same binary can disturb the process-global counter.
@@ -52,15 +53,19 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn full_run_allocations_do_not_scale_with_workload() {
-    // Max-performance governor and no DPM keep the policy layer out of
-    // the picture (no calibration cache, no per-idle sleep planning), so
-    // the measured region is the event kernel itself plus the fixed
+    // The max-performance governor keeps the detector out of the
+    // picture (no calibration cache), so the measured region is the
+    // event kernel, the DPM policy's per-idle planning, and the fixed
     // construction/report scaffolding.
-    let config = SystemConfig {
-        governor: GovernorKind::MaxPerformance,
-        dpm: DpmKind::None,
-        ..SystemConfig::default()
-    };
+    let kinds = [
+        "none",
+        "timeout:1.0",
+        "break-even",
+        "adaptive",
+        "predictive",
+        "renewal",
+        "tismdp",
+    ];
     // Traces are pre-built: arrival generation is part of workload
     // construction, not of the measured run.
     let short = scenario::build_mp3_sequence("A", 42).expect("golden labels");
@@ -70,28 +75,37 @@ fn full_run_allocations_do_not_scale_with_workload() {
         "the long trace must carry materially more events"
     );
 
-    // Warm-up: first run pays any lazy one-time setup.
-    let warm = scenario::run_trace(&short, &config, 42).expect("warm run");
-    assert!(warm.frames_completed > 0);
+    for kind in kinds {
+        let config = SystemConfig {
+            governor: GovernorKind::MaxPerformance,
+            dpm: DpmKind::parse(kind).expect("known dpm"),
+            ..SystemConfig::default()
+        };
 
-    let mut short_allocs = 0;
-    let n_short = count_allocs(|| {
-        let r = scenario::run_trace(&short, &config, 42).expect("short run");
-        short_allocs = r.frames_completed;
-        std::hint::black_box(&r);
-    });
-    let mut long_frames = 0;
-    let n_long = count_allocs(|| {
-        let r = scenario::run_trace(&long, &config, 42).expect("long run");
-        long_frames = r.frames_completed;
-        std::hint::black_box(&r);
-    });
-    assert!(long_frames > short_allocs, "long run decodes more frames");
+        // Warm-up: first run pays any lazy one-time setup.
+        let warm = scenario::run_trace(&short, &config, 42).expect("warm run");
+        assert!(warm.frames_completed > 0);
 
-    assert_eq!(
-        n_short, n_long,
-        "a full run's allocation count must not depend on the number of \
-         clips: {n_short} allocs for 1 clip vs {n_long} for 3 — something \
-         in the kernel allocates per event or per clip"
-    );
+        let mut short_frames = 0;
+        let n_short = count_allocs(|| {
+            let r = scenario::run_trace(&short, &config, 42).expect("short run");
+            short_frames = r.frames_completed;
+            std::hint::black_box(&r);
+        });
+        let mut long_frames = 0;
+        let n_long = count_allocs(|| {
+            let r = scenario::run_trace(&long, &config, 42).expect("long run");
+            long_frames = r.frames_completed;
+            std::hint::black_box(&r);
+        });
+        assert!(long_frames > short_frames, "long run decodes more frames");
+
+        assert_eq!(
+            n_short, n_long,
+            "dpm {kind}: a full run's allocation count must not depend on \
+             the number of clips: {n_short} allocs for 1 clip vs {n_long} \
+             for 3 — something in the kernel or the policy allocates per \
+             event, per idle period or per clip"
+        );
+    }
 }

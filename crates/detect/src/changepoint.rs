@@ -10,7 +10,7 @@
 
 use crate::calibrate::{default_ratios, CalibrationConfig, ThresholdTable};
 use crate::estimator::{DetectionStat, RateChange, RateEstimator};
-use crate::likelihood::{maximize_kernel, RatioKernel};
+use crate::likelihood::RatioKernel;
 use crate::window::SampleWindow;
 use crate::DetectError;
 use std::sync::Arc;
@@ -99,6 +99,11 @@ pub struct ChangePointDetector {
     /// when `rate` changes (detection or reset) — the per-sample test
     /// then runs without a single `ln()` call.
     kernels: Vec<(f64, RatioKernel)>,
+    /// `(tail_len, tail_sum)` at every checked change index of the
+    /// window under test. The sums depend on the window only, so each
+    /// test computes them once and scores every candidate ratio against
+    /// them; preallocated for a full window, so a test never allocates.
+    tails: Vec<(usize, f64)>,
 }
 
 /// Precomputes per-candidate kernels for a baseline rate. The candidate
@@ -175,9 +180,11 @@ impl ChangePointDetector {
         }
         let window = SampleWindow::new(table.config().window);
         let kernels = build_kernels(initial_rate, &table);
+        let k_step = table.config().k_step;
         Ok(ChangePointDetector {
             rate: initial_rate,
-            k_step: table.config().k_step,
+            k_step,
+            tails: Vec::with_capacity(window.capacity() / k_step),
             table,
             check_interval,
             since_check: 0,
@@ -207,24 +214,50 @@ impl ChangePointDetector {
         self.window.len()
     }
 
-    fn run_test(&mut self) -> Option<RateChange> {
+    /// The candidate that clears its threshold by the widest margin, as
+    /// `(tail_len, statistic)`. Each candidate's `ln P_max` is the
+    /// maximum over the checked change indices `k ∈ {k_step, 2·k_step,
+    /// …}` exactly as [`crate::likelihood::maximize_kernel`] scans them
+    /// (same order, same strict `>`), so the result is bit-identical to
+    /// one scan per ratio.
+    fn strongest_change(&mut self) -> Option<(usize, DetectionStat)> {
+        let m = self.window.len();
+        self.tails.clear();
+        let mut k = self.k_step;
+        while k + self.k_step <= m {
+            let tail_len = m - k;
+            self.tails
+                .push((tail_len, self.window.suffix_sum(tail_len)));
+            k += self.k_step;
+        }
         // (margin, tail_len, statistic of the winning candidate)
         let mut best: Option<(f64, usize, DetectionStat)> = None;
         for &(threshold, ref kernel) in &self.kernels {
-            let candidate = maximize_kernel(&self.window, kernel, self.k_step);
-            let margin = candidate.ln_p_max - threshold;
+            let (mut ln_p_max, mut best_tail) = (f64::NEG_INFINITY, 0);
+            for &(tail_len, tail_sum) in &self.tails {
+                let ln_p = kernel.ln_p(tail_len, tail_sum);
+                if ln_p > ln_p_max {
+                    ln_p_max = ln_p;
+                    best_tail = tail_len;
+                }
+            }
+            let margin = ln_p_max - threshold;
             if margin > 0.0 && best.is_none_or(|(m, _, _)| margin > m) {
                 best = Some((
                     margin,
-                    candidate.tail_len,
+                    best_tail,
                     DetectionStat {
-                        ln_p_max: candidate.ln_p_max,
+                        ln_p_max,
                         threshold,
                     },
                 ));
             }
         }
-        let (_, tail_len, stat) = best?;
+        best.map(|(_, tail_len, stat)| (tail_len, stat))
+    }
+
+    fn run_test(&mut self) -> Option<RateChange> {
+        let (tail_len, stat) = self.strongest_change()?;
         // Maximum-likelihood re-estimate from the post-change samples; the
         // candidate grid located the change, the tail MLE refines the rate.
         let new_rate = self.window.suffix_rate(tail_len);
@@ -440,6 +473,90 @@ mod tests {
         assert_eq!(m1, m0, "second construction must not recalibrate");
         assert!(h1 > h0, "second construction must hit the cache");
         assert!(std::ptr::eq(a.table(), b.table()), "one shared table");
+    }
+
+    /// The oracle for [`ChangePointDetector::strongest_change`]: one
+    /// [`maximize_kernel`] scan per candidate ratio, with the same
+    /// widest-margin rule.
+    fn per_ratio_scan(det: &ChangePointDetector) -> Option<(usize, DetectionStat)> {
+        use crate::likelihood::maximize_kernel;
+        let mut best: Option<(f64, usize, DetectionStat)> = None;
+        for &(threshold, ref kernel) in &det.kernels {
+            let c = maximize_kernel(&det.window, kernel, det.k_step);
+            let margin = c.ln_p_max - threshold;
+            if margin > 0.0 && best.is_none_or(|(m, _, _)| margin > m) {
+                let stat = DetectionStat {
+                    ln_p_max: c.ln_p_max,
+                    threshold,
+                };
+                best = Some((margin, c.tail_len, stat));
+            }
+        }
+        best.map(|(_, tail_len, stat)| (tail_len, stat))
+    }
+
+    fn bits(found: Option<(usize, DetectionStat)>) -> Option<(usize, u64, u64)> {
+        found.map(|(tail, s)| (tail, s.ln_p_max.to_bits(), s.threshold.to_bits()))
+    }
+
+    #[test]
+    fn hoisted_test_matches_a_per_ratio_scan_bit_for_bit() {
+        for (window, k_step) in [(60, 6), (100, 10), (48, 1), (50, 7), (40, 20)] {
+            // Calibrated directly, not through the process-wide cache,
+            // so this test never perturbs the cache tests' counters.
+            let calibration = CalibrationConfig {
+                window,
+                k_step,
+                trials: 200,
+                ..CalibrationConfig::default()
+            };
+            let mut rng = SimRng::seed_from((window * 1_000 + k_step) as u64);
+            let table = ThresholdTable::calibrate_jobs(
+                &default_ratios(),
+                calibration,
+                &mut rng,
+                simcore::par::Jobs::Count(1),
+            )
+            .unwrap();
+            let mut det = ChangePointDetector::with_table(10.0, table, 1).unwrap();
+            let (mut compared, mut detected) = (0, 0);
+            let mut check = |det: &mut ChangePointDetector| {
+                let oracle = bits(per_ratio_scan(det));
+                assert_eq!(
+                    bits(det.strongest_change()),
+                    oracle,
+                    "m={window} k={k_step}"
+                );
+                compared += 1;
+                detected += usize::from(oracle.is_some());
+            };
+            for round in 0..200 {
+                // A random baseline against a window that steps between
+                // two random rates at a random index.
+                det.reset(1.0 + 60.0 * rng.next_f64());
+                let before = Exponential::new(1.0 + 60.0 * rng.next_f64()).unwrap();
+                let after = Exponential::new(1.0 + 60.0 * rng.next_f64()).unwrap();
+                let step = (rng.next_f64() * window as f64) as usize;
+                for i in 0..window {
+                    let dist = if i < step { &before } else { &after };
+                    det.window.push(dist.sample(&mut rng));
+                }
+                check(&mut det);
+                // A shorter window, as a detection leaves it, then
+                // refilled so the ring's head wraps past its end.
+                let keep = 2 * k_step + round % (window - 2 * k_step + 1);
+                det.window.retain_last(keep);
+                check(&mut det);
+                for _ in 0..round % window {
+                    det.window.push(after.sample(&mut rng));
+                }
+                check(&mut det);
+            }
+            assert!(
+                detected > 0 && detected < compared,
+                "m={window} k={k_step}: {detected} of {compared} windows detected"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! [`LaneQueue`] is the same contract specialized for simulators whose
 //! pending-event population is a handful of *kinds*: a fixed array of
-//! single-entry lanes plus a small sorted spill list, popped by an argmin
+//! single-entry lanes plus a sorted spill list, popped by an argmin
 //! scan instead of heap sifting. It is sequence-numbered with the same
 //! global counter, so its pop order — including FIFO ties — is identical
 //! to [`EventQueue`]'s for **every** push sequence, which keeps the heap
@@ -16,7 +16,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event scheduled in an [`EventQueue`], pairing a payload with its due
 /// time.
@@ -194,10 +194,11 @@ impl<E> Default for EventQueue<E> {
 ///
 /// Simulators whose steady state holds one pending event per *kind*
 /// (next arrival, decode completion, wake-up, …) assign each kind a
-/// lane at push time; the rare overflow — a second event of an
-/// occupied lane, or a lane index `≥ LANES` — lands in the spill list
-/// (kept sorted, newest-min at the back, so its own minimum is an
-/// `O(1)` peek). A pop is an argmin scan over at most `LANES + 1`
+/// lane at push time; the overflow — a second event of an occupied
+/// lane, or a lane index `≥ LANES` — lands in the spill list (kept
+/// sorted ascending, so its own minimum is an `O(1)` peek at the
+/// front, and an entry later than everything spilled is an `O(1)`
+/// append at the back). A pop is a branch-free argmin over `LANES + 1`
 /// candidates — no sift-down, no branch-mispredicting heap walk.
 ///
 /// The lane index is a **placement hint only**: it never affects
@@ -236,10 +237,10 @@ pub struct LaneQueue<E, const LANES: usize> {
     /// Event payloads per lane; occupied exactly when the matching key
     /// is not [`EMPTY_KEY`].
     slots: [Option<E>; LANES],
-    /// Overflow entries, sorted descending by `(at, seq)` so the
-    /// queue-wide minimum candidate is `spill.last()` and removing it
-    /// is an `O(1)` pop from the back.
-    spill: Vec<Entry<E>>,
+    /// Overflow entries as `(packed key, payload)`, sorted ascending
+    /// by key: the queue-wide minimum candidate is the front, and
+    /// entries pushed in time order append at the back.
+    spill: VecDeque<(u128, E)>,
     next_seq: u64,
     now: SimTime,
 }
@@ -271,7 +272,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
         LaneQueue {
             keys: [EMPTY_KEY; LANES],
             slots: std::array::from_fn(|_| None),
-            spill: Vec::with_capacity(capacity),
+            spill: VecDeque::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -305,17 +306,16 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
         let seq = self.next_seq;
         self.next_seq += 1;
         debug_assert!(seq != u64::MAX, "sequence counter exhausted");
+        let key = pack_key(at, seq);
         if lane < LANES && self.keys[lane] == EMPTY_KEY {
-            self.keys[lane] = pack_key(at, seq);
+            self.keys[lane] = key;
             self.slots[lane] = Some(event);
+        } else if self.spill.back().is_none_or(|&(last, _)| last < key) {
+            self.spill.push_back((key, event));
         } else {
-            // Descending order: everything before the insertion point is
-            // strictly greater (seq is unique, so no ties).
-            let entry = Entry { at, seq, event };
-            let pos = self
-                .spill
-                .partition_point(|e| (e.at, e.seq) > (entry.at, entry.seq));
-            self.spill.insert(pos, entry);
+            // Keys are unique (seq is), so the insertion point is exact.
+            let pos = self.spill.partition_point(|&(k, _)| k < key);
+            self.spill.insert(pos, (key, event));
         }
     }
 
@@ -323,36 +323,32 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
     /// its due time. Simultaneous events pop in push order. Returns
     /// `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        // Empty lanes hold `EMPTY_KEY`, which loses every `<` comparison
-        // against a real key, so they drop out of the argmin without a
-        // separate occupancy test.
-        let mut best = EMPTY_KEY;
-        // `LANES` means "take from the spill list" in the argmin below.
+        // Empty lanes (and an empty spill list) hold `EMPTY_KEY`, which
+        // loses every `<` comparison against a real key, so they drop
+        // out of the argmin without a separate occupancy test. Keys are
+        // unique, so the scan order cannot change the winner; the
+        // selects carry no data-dependent branch.
+        // `LANES` means "take from the spill list".
+        let mut best = self.spill.front().map_or(EMPTY_KEY, |&(key, _)| key);
         let mut best_lane = LANES;
         for (i, &key) in self.keys.iter().enumerate() {
-            if key < best {
-                best = key;
-                best_lane = i;
-            }
-        }
-        if let Some(e) = self.spill.last() {
-            let key = pack_key(e.at, e.seq);
-            if key < best {
-                best = key;
-                best_lane = LANES;
-            }
+            let less = key < best;
+            best = if less { key } else { best };
+            best_lane = if less { i } else { best_lane };
         }
         if best == EMPTY_KEY {
             return None;
         }
-        let (at, event) = if best_lane == LANES {
-            let e = self.spill.pop().expect("argmin picked a spill entry");
-            (e.at, e.event)
+        let event = if best_lane == LANES {
+            self.spill
+                .pop_front()
+                .expect("argmin picked a spill entry")
+                .1
         } else {
             self.keys[best_lane] = EMPTY_KEY;
-            let event = self.slots[best_lane].take().expect("argmin picked a slot");
-            (SimTime::from_nanos((best >> 64) as u64), event)
+            self.slots[best_lane].take().expect("argmin picked a slot")
         };
+        let at = SimTime::from_nanos((best >> 64) as u64);
         self.now = at;
         Some(Scheduled { at, event })
     }
@@ -362,10 +358,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         let slot_min = self.keys.iter().copied().min().unwrap_or(EMPTY_KEY);
-        let spill_min = self
-            .spill
-            .last()
-            .map_or(EMPTY_KEY, |e| pack_key(e.at, e.seq));
+        let spill_min = self.spill.front().map_or(EMPTY_KEY, |&(key, _)| key);
         let best = slot_min.min(spill_min);
         if best == EMPTY_KEY {
             None

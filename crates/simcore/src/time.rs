@@ -193,7 +193,16 @@ fn secs_to_nanos(secs: f64) -> u64 {
         nanos <= u64::MAX as f64,
         "time in seconds too large to represent: {secs}"
     );
-    nanos.round() as u64
+    // `nanos.round() as u64` without the libm call `round` compiles to
+    // on targets without SSE4.1. For non-negative `nanos` the fraction
+    // `nanos - truncated` is exact, and it is zero from 2^52 on, so
+    // rounding half up from it is exactly `round`'s half-away-from-zero.
+    let truncated = nanos as u64;
+    if nanos - truncated as f64 >= 0.5 {
+        truncated + 1
+    } else {
+        truncated
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -270,6 +279,50 @@ mod tests {
     fn roundtrip_secs_f64() {
         let t = SimTime::from_secs_f64(123.456789);
         assert!((t.as_secs_f64() - 123.456789).abs() < 1e-9);
+    }
+
+    #[test]
+    fn secs_to_nanos_matches_round_to_nearest() {
+        let mut probes = vec![
+            0.0,
+            0.49e-9,
+            0.5e-9,
+            1.5e-9,
+            2.5e-9,
+            f64::MIN_POSITIVE,
+            u64::MAX as f64 / 1e9,
+        ];
+        // Values on both sides of every half-nanosecond boundary, up to
+        // and past 2^52 ns, where every f64 is an integer.
+        for n in [
+            0u64,
+            1,
+            2,
+            7,
+            1_000,
+            123_456_789,
+            1 << 40,
+            1 << 51,
+            1 << 52,
+            1 << 53,
+        ] {
+            let half = (n as f64 + 0.5) / 1e9;
+            let (below, above) = (half.next_down(), half.next_up());
+            probes.extend([half, below, above]);
+        }
+        // Uniform draws at every decade from 1 ns to 10^7 s.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..160_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
+            probes.push(unit * 10f64.powi(i % 16 - 8));
+        }
+        for secs in probes {
+            let expected = (secs * NANOS_PER_SEC as f64).round() as u64;
+            assert_eq!(secs_to_nanos(secs), expected, "secs = {secs:e}");
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! randomized operation streams (tight time ranges to force collisions,
 //! lane indices past `LANES` to force spills, pops interleaved with
 //! pushes) and require the full observable state to match after every
-//! step.
+//! step. A second family is spill-heavy: long runs of same-lane pushes
+//! at nondecreasing times, the pattern a simulator's stale sleep
+//! commands produce, so the spill list's append-at-the-back path, its
+//! sorted inserts and its front pops all carry real weight.
 //!
 //! [`BinaryHeap`]: std::collections::BinaryHeap
 
@@ -24,6 +27,10 @@ enum Op {
     /// Push at `now + dt` into `lane`; `lane ≥ LANES` exercises the
     /// explicit spill path, `dt = 0` a zero-delay event.
     Push { lane: usize, dt: u64 },
+    /// Push into `lane` at `gap` after the latest timestamp pushed so
+    /// far (or after `now`, if later): nondecreasing push times, and
+    /// equal-time ties when `gap = 0`.
+    PushAfterLast { lane: usize, gap: u64 },
     /// Pop one event from both queues and compare.
     Pop,
 }
@@ -37,12 +44,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+fn spill_heavy_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        // Only lanes 0 and 3, so nearly every push after the first two
+        // spills.
+        8 => (0usize..2, 0u64..3).prop_map(|(lane, gap)| Op::PushAfterLast { lane: lane * 3, gap }),
+        1 => (0usize..LANES + 2, 0u64..40).prop_map(|(lane, dt)| Op::Push { lane, dt }),
+        3 => Just(Op::Pop),
+    ]
+}
+
 /// Applies `ops` to a lane queue and the heap reference in lockstep,
 /// checking that pops, clocks, lengths, and peeks never diverge, then
 /// drains both and compares the tails. Panics on any divergence.
 fn run_differential(ops: &[Op]) {
     let mut lane_q: LaneQueue<usize, LANES> = LaneQueue::new();
     let mut heap_q: EventQueue<usize> = EventQueue::new();
+    let mut last_pushed = lane_q.now();
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Push { lane, dt } => {
@@ -51,6 +69,13 @@ fn run_differential(ops: &[Op]) {
                 let at = lane_q.now() + SimDuration::from_nanos(dt);
                 lane_q.push(lane, at, i);
                 heap_q.push(at, i);
+                last_pushed = last_pushed.max(at);
+            }
+            Op::PushAfterLast { lane, gap } => {
+                let at = last_pushed.max(lane_q.now()) + SimDuration::from_nanos(gap);
+                lane_q.push(lane, at, i);
+                heap_q.push(at, i);
+                last_pushed = at;
             }
             Op::Pop => {
                 let a = lane_q.pop().map(|s| (s.at, s.event));
@@ -84,6 +109,39 @@ proptest! {
     fn lane_queue_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 1..200)) {
         run_differential(&ops);
     }
+
+    /// Spill-heavy streams: same-lane pushes at nondecreasing times
+    /// (with ties), occasional out-of-order pushes, and interleaved
+    /// pops pop identically from both queues.
+    #[test]
+    fn spill_heavy_streams_match_heap_reference(
+        ops in prop::collection::vec(spill_heavy_strategy(), 1..400),
+    ) {
+        run_differential(&ops);
+    }
+}
+
+/// A thousand same-lane pushes at nondecreasing times, every fourth one
+/// tied with its predecessor, drained with pushes still arriving: the
+/// spill list grows long, appends at the back, and pops from the front.
+#[test]
+fn long_same_lane_runs_match_heap_reference() {
+    let mut ops = Vec::new();
+    for i in 0..1_000u64 {
+        ops.push(Op::PushAfterLast {
+            lane: 0,
+            gap: u64::from(i % 4 != 0),
+        });
+        if i % 3 == 0 {
+            ops.push(Op::Pop);
+        }
+        if i % 97 == 0 {
+            // An earlier push into the occupied lane: a sorted insert
+            // ahead of the spill list's tail.
+            ops.push(Op::Push { lane: 0, dt: 0 });
+        }
+    }
+    run_differential(&ops);
 }
 
 /// Heavier sweep for the nightly `--include-ignored` pass: much longer

@@ -136,6 +136,40 @@ fn bad_arguments_fail_with_guidance() {
 }
 
 #[test]
+fn sub_nanosecond_timeouts_are_rejected_where_they_are_given() {
+    // 1e-300 s rounds to a zero-length timeout on the nanosecond clock:
+    // the parse rejects it, quoting the user's string, before any run.
+    let out = dvsdpm()
+        .args(["run", "--workload", "mp3:A", "--dpm", "timeout:1e-300"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(err.contains("`timeout:1e-300`"), "{err}");
+
+    // In a fleet spec it fails the load (exit 1, located by index), not
+    // the devices: under `continue` a per-device failure would exit 2.
+    let dir = std::env::temp_dir().join("dvsdpm-cli-fleet-timeout");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"{ "devices": 2, "workloads": ["mp3:A"], "on_error": "continue",
+             "policies": [{ "governor": "max", "dpm": "timeout:1e-300" }] }"#,
+    )
+    .expect("spec written");
+    let out = dvsdpm()
+        .args(["fleet", "--spec"])
+        .arg(&spec)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(err.contains("policies[0]"), "{err}");
+    assert!(err.contains("`timeout:1e-300`"), "{err}");
+}
+
+#[test]
 fn faulted_run_surfaces_robustness_summary() {
     let out = dvsdpm()
         .args([
