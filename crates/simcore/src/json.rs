@@ -6,6 +6,10 @@
 //! repo needs: a [`Json`] value type, [`Json::parse`], compact and pretty
 //! writers, indexing, and a [`ToJson`] conversion trait with an
 //! [`impl_to_json!`](crate::impl_to_json) helper macro for flat structs.
+//! Hot record formats (JSONL traces) skip the tree but not the grammar or
+//! the number format: they read through the same pull [`Lexer`] that
+//! [`Json::parse`] uses and print numbers with [`write_int`] and
+//! [`write_f64`].
 //!
 //! Numbers distinguish integers from floats so integer counters
 //! round-trip exactly; floats are printed with Rust's shortest
@@ -23,8 +27,9 @@
 //! assert_eq!(vec![1u64, 2].to_json().dump(), "[1,2]");
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,16 +152,9 @@ impl Json {
     ///
     /// Returns a [`JsonError`] on malformed input or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError {
-                message: "trailing characters after value".into(),
-                offset: pos,
-            });
-        }
+        let mut lexer = Lexer::new(text);
+        let value = lexer.value()?;
+        lexer.end()?;
         Ok(value)
     }
 
@@ -166,15 +164,6 @@ impl Json {
         let mut out = String::new();
         self.write(&mut out, None, 0);
         out
-    }
-
-    /// Appends the compact serialization to `out`, reusing its
-    /// allocation. High-frequency writers (e.g. a JSONL trace sink
-    /// emitting one line per simulator event) clear and refill one
-    /// buffer instead of building a fresh `String` per record; the bytes
-    /// appended are exactly those [`Self::dump`] returns.
-    pub fn dump_into(&self, out: &mut String) {
-        self.write(out, None, 0);
     }
 
     /// Pretty-printed serialization with two-space indentation.
@@ -190,7 +179,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => write_int(out, *i),
             Json::Num(x) => write_f64(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => write_seq(out, indent, depth, items.len(), '[', ']', |out, i| {
@@ -239,12 +228,21 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_f64(out: &mut String, x: f64) {
+/// Appends an integer exactly as [`Json::Int`] serializes it.
+pub fn write_int(out: &mut String, i: i64) {
+    // Formatting into a `String` cannot fail.
+    let _ = write!(out, "{i}");
+}
+
+/// Appends a float exactly as [`Json::Num`] serializes it: Rust's
+/// shortest round-trip form, with `.0` added to integral values so they
+/// re-parse as floats, and `null` for NaN and the infinities.
+pub fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        let s = format!("{x}");
-        out.push_str(&s);
+        let start = out.len();
+        let _ = write!(out, "{x}");
         // Keep floats recognizable as floats on re-parse.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -263,18 +261,12 @@ fn write_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
     out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
 }
 
 fn err(message: &str, offset: usize) -> JsonError {
@@ -284,157 +276,342 @@ fn err(message: &str, offset: usize) -> JsonError {
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
+/// One lexical step of a JSON value, as [`Lexer::token`] reads it.
+///
+/// Scalars arrive whole; strings borrow from the input unless they hold
+/// escapes. An array or object arrives as its opening bracket only: the
+/// caller walks an object's members with [`Lexer::next_key`], or passes
+/// the token to [`Lexer::skip_rest`].
+#[derive(Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number with no fraction or exponent that fits an `i64`.
+    Int(i64),
+    /// Any other number.
+    Num(f64),
+    /// A string, unescaped.
+    Str(Cow<'a, str>),
+    /// The `[` opening an array.
+    ArrayStart,
+    /// The `{` opening an object.
+    ObjectStart,
+}
+
+impl Token<'_> {
+    /// The token as an `f64` (integers widen), as [`Json::as_f64`].
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Token::Int(i) => Some(*i as f64),
+            Token::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The token as a `u64`, as [`Json::as_u64`].
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Token::Int(i) if *i >= 0 => Some(*i as u64),
+            _ => None,
+        }
+    }
+
+    /// The token as a bool, as [`Json::as_bool`].
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Token::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The token as a string slice, as [`Json::as_str`].
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Token::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// The JSON grammar, as a pull lexer over one document.
+///
+/// [`Json::parse`] builds its tree from these calls, and streaming
+/// decoders (the JSONL trace reader) use the same calls to read flat
+/// records without building one, so both accept exactly one language.
+/// Errors carry the same messages and byte offsets either way.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Lexer<'a> {
+        Lexer { text, pos: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(err(&format!("expected `{lit}`"), self.pos))
+        }
+    }
+
+    /// Reads the next value's first token, skipping leading whitespace.
+    ///
+    /// # Errors
+    ///
+    /// Malformed or missing input.
+    pub fn token(&mut self) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(err("unexpected end of input", self.pos)),
+            Some(b'n') => self.literal("null").map(|()| Token::Null),
+            Some(b't') => self.literal("true").map(|()| Token::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Token::Bool(false)),
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::ArrayStart)
+            }
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::ObjectStart)
+            }
+            Some(_) => self.number(),
+        }
+    }
+
+    /// Inside an array: `true` when another item follows (read it with
+    /// [`Lexer::token`]), `false` after consuming the closing `]`.
+    /// `first` says whether this is the call right after the `[`.
+    fn next_item(&mut self, first: bool) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(err("expected `,` or `]`", self.pos)),
+        }
+    }
+
+    /// Inside an object: the next member's key, with its `:` consumed
+    /// (read the value with [`Lexer::token`]), or `None` after consuming
+    /// the closing `}`. `first` says whether this is the call right
+    /// after the `{`.
+    ///
+    /// # Errors
+    ///
+    /// A missing `,`, `}`, key or `:`.
+    pub fn next_key(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'}') => {
+                self.pos += 1;
+                return Ok(None);
+            }
+            _ if first => {}
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ => return Err(err("expected `,` or `}`", self.pos)),
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(err("expected `:`", self.pos));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Consumes the rest of a value whose first token was `token`: the
+    /// contents and closing bracket of an array or object, checked but
+    /// not kept. A no-op for scalars.
+    ///
+    /// # Errors
+    ///
+    /// Malformed contents.
+    pub fn skip_rest(&mut self, token: &Token<'_>) -> Result<(), JsonError> {
+        match token {
+            Token::ArrayStart => {
+                let mut first = true;
+                while self.next_item(first)? {
+                    first = false;
+                    let item = self.token()?;
+                    self.skip_rest(&item)?;
+                }
+            }
+            Token::ObjectStart => {
+                let mut first = true;
+                while self.next_key(first)?.is_some() {
+                    first = false;
+                    let value = self.token()?;
+                    self.skip_rest(&value)?;
+                }
+            }
+            _ => {}
+        }
         Ok(())
-    } else {
-        Err(err(&format!("expected `{lit}`"), *pos))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err("unexpected end of input", *pos)),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(err("expected `,` or `]`", *pos)),
+    /// Reads one whole value as a [`Json`] tree.
+    fn value(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.token()? {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Int(i) => Json::Int(i),
+            Token::Num(x) => Json::Num(x),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::ArrayStart => {
+                let mut items = Vec::new();
+                while self.next_item(items.is_empty())? {
+                    items.push(self.value()?);
                 }
+                Json::Arr(items)
             }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(err("expected `:`", *pos));
+            Token::ObjectStart => {
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key(pairs.is_empty())? {
+                    pairs.push((key.into_owned(), self.value()?));
                 }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(err("expected `,` or `}`", *pos)),
-                }
+                Json::Obj(pairs)
             }
-        }
-        Some(_) => parse_number(bytes, pos),
+        })
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(err("expected string", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err("truncated \\u escape", *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err("invalid \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err("invalid \\u escape", *pos))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err("invalid escape", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a valid &str).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err("invalid utf-8", *pos))?;
-                let c = rest.chars().next().ok_or_else(|| err("empty char", *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+    /// Checks that only whitespace remains.
+    ///
+    /// # Errors
+    ///
+    /// Trailing characters after the value.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(err("trailing characters after value", self.pos))
         }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.peek() != Some(b'"') {
+            return Err(err("expected string", self.pos));
+        }
+        self.pos += 1;
+        let (text, bytes) = (self.text, self.bytes());
+        let start = self.pos;
+        let run = |from: usize| {
+            bytes[from..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map(|n| from + n)
+        };
+        // Borrow when the string has no escapes: the common case.
+        let mut at = run(start).ok_or_else(|| err("unterminated string", text.len()))?;
+        if bytes[at] == b'"' {
+            self.pos = at + 1;
+            return Ok(Cow::Borrowed(&text[start..at]));
+        }
+        let mut out = String::from(&text[start..at]);
+        loop {
+            // `at` is on a backslash.
+            self.pos = at + 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000c}'),
+                Some(b'u') => {
+                    let hex = bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| err("truncated \\u escape", self.pos))?;
+                    let hex = std::str::from_utf8(hex)
+                        .map_err(|_| err("invalid \\u escape", self.pos))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| err("invalid \\u escape", self.pos))?;
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(err("invalid escape", self.pos)),
             }
-            _ => break,
+            self.pos += 1;
+            at = run(self.pos).ok_or_else(|| err("unterminated string", text.len()))?;
+            out.push_str(&text[self.pos..at]);
+            if bytes[at] == b'"' {
+                self.pos = at + 1;
+                return Ok(Cow::Owned(out));
+            }
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err("bad number", start))?;
-    if text.is_empty() || text == "-" {
-        return Err(err("expected number", start));
-    }
-    if is_float {
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| err("invalid float", start))
-    } else {
-        text.parse::<i64>()
-            .map(Json::Int)
-            .or_else(|_| text.parse::<f64>().map(Json::Num))
-            .map_err(|_| err("invalid integer", start))
+
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
+        let bytes = self.bytes();
+        let start = self.pos;
+        if bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    is_float = true;
+                    self.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        let text = &self.text[start..self.pos];
+        if text.is_empty() || text == "-" {
+            return Err(err("expected number", start));
+        }
+        if is_float {
+            text.parse::<f64>()
+                .map(Token::Num)
+                .map_err(|_| err("invalid float", start))
+        } else {
+            text.parse::<i64>()
+                .map(Token::Int)
+                .or_else(|_| text.parse::<f64>().map(Token::Num))
+                .map_err(|_| err("invalid integer", start))
+        }
     }
 }
 
@@ -668,14 +845,55 @@ mod tests {
     }
 
     #[test]
-    fn dump_into_appends_exactly_dump() {
-        let v = Json::parse(r#"{"a":1,"b":[true,null,2.5],"c":"x\"y"}"#).unwrap();
+    fn number_writers_append_exactly_dump() {
         let mut buf = String::from("prefix:");
-        v.dump_into(&mut buf);
-        assert_eq!(buf, format!("prefix:{}", v.dump()));
-        buf.clear();
-        v.dump_into(&mut buf);
-        assert_eq!(buf, v.dump());
+        write_int(&mut buf, -42);
+        write_f64(&mut buf, 3.0);
+        write_f64(&mut buf, f64::NAN);
+        assert_eq!(
+            buf,
+            format!(
+                "prefix:{}{}{}",
+                Json::Int(-42).dump(),
+                Json::Num(3.0).dump(),
+                Json::Num(f64::NAN).dump()
+            )
+        );
+        assert_eq!(buf, "prefix:-423.0null");
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut lexer = Lexer::new(r#"["plain", "es\u0063aped\n", "é\"q"]"#);
+        assert_eq!(lexer.token().unwrap(), Token::ArrayStart);
+        assert!(lexer.next_item(true).unwrap());
+        assert!(matches!(
+            lexer.token().unwrap(),
+            Token::Str(Cow::Borrowed("plain"))
+        ));
+        assert!(lexer.next_item(false).unwrap());
+        assert_eq!(
+            lexer.token().unwrap(),
+            Token::Str(Cow::Owned("escaped\n".to_owned()))
+        );
+        assert!(lexer.next_item(false).unwrap());
+        assert_eq!(lexer.token().unwrap().as_str(), Some("é\"q"));
+        assert!(!lexer.next_item(false).unwrap());
+        assert!(lexer.end().is_ok());
+    }
+
+    #[test]
+    fn skip_rest_checks_nested_values() {
+        let mut lexer = Lexer::new(r#"{"a":[1,{"b":null}],"c":2}"#);
+        let open = lexer.token().unwrap();
+        lexer.skip_rest(&open).unwrap();
+        assert!(lexer.end().is_ok());
+        let mut bad = Lexer::new(r#"{"a":[1,{"b" null}]}"#);
+        let open = bad.token().unwrap();
+        assert_eq!(
+            bad.skip_rest(&open).unwrap_err(),
+            Json::parse(r#"{"a":[1,{"b" null}]}"#).unwrap_err()
+        );
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! so a parsed trace reconstructs time *exactly*, with no float
 //! round-trip involved.
 
-use simcore::json::{Json, ToJson};
+use simcore::json::{self, JsonError, Lexer, Token};
 use simcore::time::{SimDuration, SimTime};
+
+#[cfg(test)]
+mod oracle;
 
 /// Operating mode of the simulated system, as carried by mode-boundary
 /// events. Indices double as the metrics-registry series keys.
@@ -280,118 +283,25 @@ impl Event {
         }
     }
 
-    /// Decodes one event from its parsed JSON object.
+    /// Appends the event's JSONL line, newline included, to `out`.
     ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(json: &Json) -> Result<Event, String> {
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing \"kind\"")?;
-        let at = time_field(json, "t")?;
-        let ev = match kind {
-            "run_start" => Event::RunStart { at },
-            "idle_enter" => Event::IdleEnter { at },
-            "decode_start" => Event::DecodeStart {
-                at,
-                freq_tenths_mhz: u32_field(json, "freq_tenths_mhz")?,
-            },
-            "freq_switch" => Event::FreqSwitch {
-                at,
-                from_tenths_mhz: u32_field(json, "from_tenths_mhz")?,
-                to_tenths_mhz: u32_field(json, "to_tenths_mhz")?,
-                from_mv: u32_field(json, "from_mv")?,
-                to_mv: u32_field(json, "to_mv")?,
-            },
-            "rate_change" => Event::RateChange {
-                at,
-                stream: json
-                    .get("stream")
-                    .and_then(Json::as_str)
-                    .and_then(StreamKind::parse)
-                    .ok_or("bad \"stream\"")?,
-                new_rate: f64_field(json, "new_rate")?,
-                ln_p_max: opt_f64_field(json, "ln_p_max"),
-                threshold: opt_f64_field(json, "threshold"),
-            },
-            "sleep_enter" => Event::SleepEnter {
-                at,
-                state: json
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .and_then(SleepKind::parse)
-                    .ok_or("bad \"state\"")?,
-            },
-            "wake_start" => Event::WakeStart {
-                at,
-                latency: SimDuration::from_nanos(
-                    json.get("latency_ns")
-                        .and_then(Json::as_u64)
-                        .ok_or("bad \"latency_ns\"")?,
-                ),
-            },
-            "buffer_drop" => Event::BufferDrop {
-                at,
-                occupancy: u32_field(json, "occupancy")?,
-            },
-            "degraded" => Event::Degraded {
-                at,
-                entered: json
-                    .get("entered")
-                    .and_then(Json::as_bool)
-                    .ok_or("bad \"entered\"")?,
-            },
-            "frame_done" => Event::FrameDone {
-                at,
-                delay_s: f64_field(json, "delay_s")?,
-                freq_tenths_mhz: u32_field(json, "freq_tenths_mhz")?,
-            },
-            "run_end" => Event::RunEnd { at },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok(ev)
-    }
-}
-
-fn time_field(json: &Json, key: &str) -> Result<SimTime, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .map(SimTime::from_nanos)
-        .ok_or_else(|| format!("bad {key:?}"))
-}
-
-fn u32_field(json: &Json, key: &str) -> Result<u32, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| format!("bad {key:?}"))
-}
-
-fn f64_field(json: &Json, key: &str) -> Result<f64, String> {
-    json.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("bad {key:?}"))
-}
-
-fn opt_f64_field(json: &Json, key: &str) -> Option<f64> {
-    json.get(key).and_then(Json::as_f64)
-}
-
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![
-            ("kind".into(), Json::Str(self.name().into())),
-            ("t".into(), Json::Int(self.at().as_nanos() as i64)),
-        ];
+    /// Keys are static literals and numbers go through
+    /// [`simcore::json`]'s own formatters, so the bytes are exactly the
+    /// compact [`Json`](simcore::json::Json) serialization of the event
+    /// object plus `\n`, without building that object. Appending to a
+    /// reused buffer allocates nothing once the buffer has grown.
+    pub fn write_jsonl(&self, out: &mut String) {
+        out.push_str("{\"kind\":\"");
+        out.push_str(self.name());
+        out.push_str("\",\"t\":");
+        // Clock values go on the wire as `i64`, the JSON integer type;
+        // simulated spans are nowhere near the 292-year limit.
+        json::write_int(out, self.at().as_nanos() as i64);
         match *self {
             Event::RunStart { .. } | Event::IdleEnter { .. } | Event::RunEnd { .. } => {}
             Event::DecodeStart {
                 freq_tenths_mhz, ..
-            } => {
-                pairs.push(("freq_tenths_mhz".into(), freq_tenths_mhz.to_json()));
-            }
+            } => int_field(out, ",\"freq_tenths_mhz\":", freq_tenths_mhz.into()),
             Event::FreqSwitch {
                 from_tenths_mhz,
                 to_tenths_mhz,
@@ -399,10 +309,10 @@ impl ToJson for Event {
                 to_mv,
                 ..
             } => {
-                pairs.push(("from_tenths_mhz".into(), from_tenths_mhz.to_json()));
-                pairs.push(("to_tenths_mhz".into(), to_tenths_mhz.to_json()));
-                pairs.push(("from_mv".into(), from_mv.to_json()));
-                pairs.push(("to_mv".into(), to_mv.to_json()));
+                int_field(out, ",\"from_tenths_mhz\":", from_tenths_mhz.into());
+                int_field(out, ",\"to_tenths_mhz\":", to_tenths_mhz.into());
+                int_field(out, ",\"from_mv\":", from_mv.into());
+                int_field(out, ",\"to_mv\":", to_mv.into());
             }
             Event::RateChange {
                 stream,
@@ -411,34 +321,233 @@ impl ToJson for Event {
                 threshold,
                 ..
             } => {
-                pairs.push(("stream".into(), Json::Str(stream.label().into())));
-                pairs.push(("new_rate".into(), new_rate.to_json()));
-                pairs.push(("ln_p_max".into(), ln_p_max.to_json()));
-                pairs.push(("threshold".into(), threshold.to_json()));
+                str_field(out, ",\"stream\":\"", stream.label());
+                f64_field(out, ",\"new_rate\":", Some(new_rate));
+                f64_field(out, ",\"ln_p_max\":", ln_p_max);
+                f64_field(out, ",\"threshold\":", threshold);
             }
-            Event::SleepEnter { state, .. } => {
-                pairs.push(("state".into(), Json::Str(state.label().into())));
-            }
+            Event::SleepEnter { state, .. } => str_field(out, ",\"state\":\"", state.label()),
             Event::WakeStart { latency, .. } => {
-                pairs.push(("latency_ns".into(), Json::Int(latency.as_nanos() as i64)));
+                int_field(out, ",\"latency_ns\":", latency.as_nanos() as i64);
             }
             Event::BufferDrop { occupancy, .. } => {
-                pairs.push(("occupancy".into(), occupancy.to_json()));
+                int_field(out, ",\"occupancy\":", occupancy.into());
             }
             Event::Degraded { entered, .. } => {
-                pairs.push(("entered".into(), Json::Bool(entered)));
+                out.push_str(",\"entered\":");
+                out.push_str(if entered { "true" } else { "false" });
             }
             Event::FrameDone {
                 delay_s,
                 freq_tenths_mhz,
                 ..
             } => {
-                pairs.push(("delay_s".into(), delay_s.to_json()));
-                pairs.push(("freq_tenths_mhz".into(), freq_tenths_mhz.to_json()));
+                f64_field(out, ",\"delay_s\":", Some(delay_s));
+                int_field(out, ",\"freq_tenths_mhz\":", freq_tenths_mhz.into());
             }
         }
-        Json::Obj(pairs)
+        out.push_str("}\n");
     }
+
+    /// Decodes one JSONL line (without its newline) into an event.
+    ///
+    /// Reads the flat object in one pass with [`simcore::json`]'s
+    /// lexer, so it accepts exactly what [`Json::parse`] accepts: any
+    /// key order and whitespace, escapes, and unknown keys with values
+    /// of any shape (checked, then dropped). Keys are borrowed from the
+    /// line and dispatched to fixed slots; the first occurrence of a
+    /// key wins, as [`Json::get`] finds it. Integers are accepted where
+    /// floats are expected, not the reverse.
+    ///
+    /// [`Json::parse`]: simcore::json::Json::parse
+    /// [`Json::get`]: simcore::json::Json::get
+    ///
+    /// # Errors
+    ///
+    /// The JSON error for malformed lines, else the first missing or
+    /// mistyped field, named.
+    pub(crate) fn decode_jsonl(line: &str) -> Result<Event, String> {
+        let mut fields = Fields::default();
+        let mut lexer = Lexer::new(line);
+        fields.scan(&mut lexer).map_err(|e| e.to_string())?;
+        fields.event()
+    }
+}
+
+/// The value of each key an event line can carry, as first seen.
+#[derive(Default)]
+struct Fields<'a> {
+    kind: Option<Token<'a>>,
+    t: Option<Token<'a>>,
+    freq_tenths_mhz: Option<Token<'a>>,
+    from_tenths_mhz: Option<Token<'a>>,
+    to_tenths_mhz: Option<Token<'a>>,
+    from_mv: Option<Token<'a>>,
+    to_mv: Option<Token<'a>>,
+    stream: Option<Token<'a>>,
+    new_rate: Option<Token<'a>>,
+    ln_p_max: Option<Token<'a>>,
+    threshold: Option<Token<'a>>,
+    state: Option<Token<'a>>,
+    latency_ns: Option<Token<'a>>,
+    occupancy: Option<Token<'a>>,
+    entered: Option<Token<'a>>,
+    delay_s: Option<Token<'a>>,
+}
+
+impl<'a> Fields<'a> {
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Token<'a>>> {
+        Some(match key {
+            "kind" => &mut self.kind,
+            "t" => &mut self.t,
+            "freq_tenths_mhz" => &mut self.freq_tenths_mhz,
+            "from_tenths_mhz" => &mut self.from_tenths_mhz,
+            "to_tenths_mhz" => &mut self.to_tenths_mhz,
+            "from_mv" => &mut self.from_mv,
+            "to_mv" => &mut self.to_mv,
+            "stream" => &mut self.stream,
+            "new_rate" => &mut self.new_rate,
+            "ln_p_max" => &mut self.ln_p_max,
+            "threshold" => &mut self.threshold,
+            "state" => &mut self.state,
+            "latency_ns" => &mut self.latency_ns,
+            "occupancy" => &mut self.occupancy,
+            "entered" => &mut self.entered,
+            "delay_s" => &mut self.delay_s,
+            _ => return None,
+        })
+    }
+
+    /// Reads one whole JSON document. Members of a top-level object
+    /// fill the slots; any other document leaves them empty (and so
+    /// fails as a missing `"kind"`, as a non-object has no keys).
+    fn scan(&mut self, lexer: &mut Lexer<'a>) -> Result<(), JsonError> {
+        let root = lexer.token()?;
+        if root == Token::ObjectStart {
+            let mut first = true;
+            while let Some(key) = lexer.next_key(first)? {
+                first = false;
+                let value = lexer.token()?;
+                lexer.skip_rest(&value)?;
+                if let Some(slot) = self.slot(&key) {
+                    slot.get_or_insert(value);
+                }
+            }
+        } else {
+            lexer.skip_rest(&root)?;
+        }
+        lexer.end()
+    }
+
+    fn event(&self) -> Result<Event, String> {
+        let kind = self
+            .kind
+            .as_ref()
+            .and_then(Token::as_str)
+            .ok_or("missing \"kind\"")?;
+        let at = SimTime::from_nanos(u64_value(&self.t, "t")?);
+        let ev = match kind {
+            "run_start" => Event::RunStart { at },
+            "idle_enter" => Event::IdleEnter { at },
+            "decode_start" => Event::DecodeStart {
+                at,
+                freq_tenths_mhz: u32_value(&self.freq_tenths_mhz, "freq_tenths_mhz")?,
+            },
+            "freq_switch" => Event::FreqSwitch {
+                at,
+                from_tenths_mhz: u32_value(&self.from_tenths_mhz, "from_tenths_mhz")?,
+                to_tenths_mhz: u32_value(&self.to_tenths_mhz, "to_tenths_mhz")?,
+                from_mv: u32_value(&self.from_mv, "from_mv")?,
+                to_mv: u32_value(&self.to_mv, "to_mv")?,
+            },
+            "rate_change" => Event::RateChange {
+                at,
+                stream: self
+                    .stream
+                    .as_ref()
+                    .and_then(Token::as_str)
+                    .and_then(StreamKind::parse)
+                    .ok_or("bad \"stream\"")?,
+                new_rate: self
+                    .new_rate
+                    .as_ref()
+                    .and_then(Token::as_f64)
+                    .ok_or("bad \"new_rate\"")?,
+                ln_p_max: self.ln_p_max.as_ref().and_then(Token::as_f64),
+                threshold: self.threshold.as_ref().and_then(Token::as_f64),
+            },
+            "sleep_enter" => Event::SleepEnter {
+                at,
+                state: self
+                    .state
+                    .as_ref()
+                    .and_then(Token::as_str)
+                    .and_then(SleepKind::parse)
+                    .ok_or("bad \"state\"")?,
+            },
+            "wake_start" => Event::WakeStart {
+                at,
+                latency: SimDuration::from_nanos(u64_value(&self.latency_ns, "latency_ns")?),
+            },
+            "buffer_drop" => Event::BufferDrop {
+                at,
+                occupancy: u32_value(&self.occupancy, "occupancy")?,
+            },
+            "degraded" => Event::Degraded {
+                at,
+                entered: self
+                    .entered
+                    .as_ref()
+                    .and_then(Token::as_bool)
+                    .ok_or("bad \"entered\"")?,
+            },
+            "frame_done" => Event::FrameDone {
+                at,
+                delay_s: self
+                    .delay_s
+                    .as_ref()
+                    .and_then(Token::as_f64)
+                    .ok_or("bad \"delay_s\"")?,
+                freq_tenths_mhz: u32_value(&self.freq_tenths_mhz, "freq_tenths_mhz")?,
+            },
+            "run_end" => Event::RunEnd { at },
+            other => return Err(format!("unknown event kind {other:?}")),
+        };
+        Ok(ev)
+    }
+}
+
+fn u64_value(slot: &Option<Token<'_>>, key: &str) -> Result<u64, String> {
+    slot.as_ref()
+        .and_then(Token::as_u64)
+        .ok_or_else(|| format!("bad {key:?}"))
+}
+
+fn u32_value(slot: &Option<Token<'_>>, key: &str) -> Result<u32, String> {
+    slot.as_ref()
+        .and_then(Token::as_u64)
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or_else(|| format!("bad {key:?}"))
+}
+
+fn int_field(out: &mut String, key: &str, value: i64) {
+    out.push_str(key);
+    json::write_int(out, value);
+}
+
+fn f64_field(out: &mut String, key: &str, value: Option<f64>) {
+    out.push_str(key);
+    match value {
+        Some(x) => json::write_f64(out, x),
+        None => out.push_str("null"),
+    }
+}
+
+/// `key` ends with the opening quote; `value` needs no escaping.
+fn str_field(out: &mut String, key: &str, value: &str) {
+    out.push_str(key);
+    out.push_str(value);
+    out.push('"');
 }
 
 /// Filterable event category, used by `--trace-filter` and `tracecat
@@ -619,14 +728,45 @@ mod tests {
         ]
     }
 
+    /// One literal line per variant: the wire format, pinned.
+    const EXPECTED_LINES: [&str; 12] = [
+        r#"{"kind":"run_start","t":0}"#,
+        r#"{"kind":"idle_enter","t":0}"#,
+        r#"{"kind":"decode_start","t":1500,"freq_tenths_mhz":2212}"#,
+        r#"{"kind":"freq_switch","t":1500,"from_tenths_mhz":1032,"to_tenths_mhz":2212,"from_mv":1100,"to_mv":1650}"#,
+        r#"{"kind":"rate_change","t":2000,"stream":"arrival","new_rate":38.75,"ln_p_max":12.5,"threshold":9.25}"#,
+        r#"{"kind":"rate_change","t":2100,"stream":"service","new_rate":120.0,"ln_p_max":null,"threshold":null}"#,
+        r#"{"kind":"sleep_enter","t":9000,"state":"off"}"#,
+        r#"{"kind":"wake_start","t":12345,"latency_ns":640000}"#,
+        r#"{"kind":"buffer_drop","t":13000,"occupancy":64}"#,
+        r#"{"kind":"degraded","t":14000,"entered":true}"#,
+        r#"{"kind":"frame_done","t":15000,"delay_s":0.0025,"freq_tenths_mhz":2212}"#,
+        r#"{"kind":"run_end","t":20000}"#,
+    ];
+
     #[test]
-    fn every_variant_round_trips_through_json() {
-        for ev in sample_events() {
-            let json = ev.to_json();
-            let reparsed = Json::parse(&json.dump()).expect("event JSON parses");
-            let back = Event::from_json(&reparsed).expect("event decodes");
-            assert_eq!(ev, back, "{}", ev.name());
+    fn every_variant_writes_its_pinned_line_and_decodes_back() {
+        let mut line = String::new();
+        for (ev, expected) in sample_events().into_iter().zip(EXPECTED_LINES) {
+            line.clear();
+            ev.write_jsonl(&mut line);
+            assert_eq!(line, format!("{expected}\n"), "{}", ev.name());
+            assert_eq!(Event::decode_jsonl(expected), Ok(ev), "{}", ev.name());
         }
+    }
+
+    #[test]
+    fn write_jsonl_appends_to_the_buffer() {
+        let mut line = String::from("kept|");
+        Event::RunStart { at: SimTime::ZERO }.write_jsonl(&mut line);
+        Event::RunEnd {
+            at: SimTime::from_nanos(7),
+        }
+        .write_jsonl(&mut line);
+        assert_eq!(
+            line,
+            "kept|{\"kind\":\"run_start\",\"t\":0}\n{\"kind\":\"run_end\",\"t\":7}\n"
+        );
     }
 
     #[test]
@@ -634,10 +774,52 @@ mod tests {
         let ev = Event::RunEnd {
             at: SimTime::from_nanos(123_456_789_012_345),
         };
-        let json = Json::parse(&ev.to_json().dump()).unwrap();
+        let mut line = String::new();
+        ev.write_jsonl(&mut line);
+        assert!(line.contains(r#""t":123456789012345}"#), "{line}");
+        assert_eq!(Event::decode_jsonl(line.trim_end()), Ok(ev));
+    }
+
+    #[test]
+    fn decoder_takes_first_keys_and_skips_unknown_values() {
+        let line =
+            r#" { "extra" : {"a":[1,{"b":null}]}, "t":5, "kind":"run\u005fstart", "t":"x" } "#;
         assert_eq!(
-            json.get("t").and_then(Json::as_u64),
-            Some(123_456_789_012_345)
+            Event::decode_jsonl(line),
+            Ok(Event::RunStart {
+                at: SimTime::from_nanos(5)
+            })
+        );
+    }
+
+    #[test]
+    fn unknown_kind_and_missing_fields_are_rejected() {
+        let decode = Event::decode_jsonl;
+        assert_eq!(
+            decode(r#"{"kind":"warp_drive","t":1}"#),
+            Err(r#"unknown event kind "warp_drive""#.to_owned())
+        );
+        assert_eq!(
+            decode(r#"{"kind":"frame_done","t":1}"#),
+            Err(r#"bad "delay_s""#.to_owned())
+        );
+        assert_eq!(
+            decode(r#"{"kind":"run_start"}"#),
+            Err(r#"bad "t""#.to_owned())
+        );
+        assert_eq!(
+            decode(r#"{"kind":"run_start","t":1.0}"#),
+            Err(r#"bad "t""#.to_owned())
+        );
+        assert_eq!(
+            decode(r#"{"kind":"buffer_drop","t":1,"occupancy":4294967296}"#),
+            Err(r#"bad "occupancy""#.to_owned())
+        );
+        assert_eq!(decode("[1]"), Err(r#"missing "kind""#.to_owned()));
+        let malformed = decode(r#"{"kind":"run_start","t":1"#).unwrap_err();
+        assert!(
+            malformed.starts_with("JSON error at byte 25"),
+            "{malformed}"
         );
     }
 
@@ -653,16 +835,6 @@ mod tests {
         for ev in sample_events() {
             assert!(KindSet::all().contains(ev.kind()));
         }
-    }
-
-    #[test]
-    fn unknown_kind_and_missing_fields_are_rejected() {
-        let bad = Json::parse(r#"{"kind":"warp_drive","t":1}"#).unwrap();
-        assert!(Event::from_json(&bad).is_err());
-        let missing = Json::parse(r#"{"kind":"frame_done","t":1}"#).unwrap();
-        assert!(Event::from_json(&missing).is_err());
-        let no_time = Json::parse(r#"{"kind":"run_start"}"#).unwrap();
-        assert!(Event::from_json(&no_time).is_err());
     }
 
     #[test]

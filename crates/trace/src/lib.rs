@@ -42,9 +42,12 @@ pub use registry::{ns_to_secs, MetricsRegistry};
 pub use replay::{replay, ReplaySummary};
 pub use sink::{FilteredSink, JsonlSink, NullSink, RingSink, TraceSink};
 
-use simcore::json::Json;
-
 /// Parses a JSONL trace (one event object per non-empty line).
+///
+/// Each line is decoded directly into an [`Event`] by a single pass of
+/// `simcore::json`'s lexer, without building a JSON tree; the accepted
+/// language is exactly that of `Json::parse` (see DESIGN.md §9, "Trace
+/// wire format").
 ///
 /// # Errors
 ///
@@ -56,9 +59,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
         if line.is_empty() {
             continue;
         }
-        let json = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let event = Event::from_json(&json).map_err(|e| format!("line {}: {e}", i + 1))?;
-        events.push(event);
+        events.push(Event::decode_jsonl(line).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(events)
 }
@@ -96,7 +97,6 @@ pub fn ensure_time_ordered(events: &[Event]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::json::ToJson;
     use simcore::time::SimTime;
 
     #[test]
@@ -114,8 +114,7 @@ mod tests {
         ];
         let mut text = String::new();
         for ev in &events {
-            text.push_str(&ev.to_json().dump());
-            text.push('\n');
+            ev.write_jsonl(&mut text);
         }
         text.push('\n'); // trailing blank line is tolerated
         assert_eq!(parse_jsonl(&text).unwrap(), events);
@@ -125,6 +124,8 @@ mod tests {
     fn parse_jsonl_reports_the_offending_line() {
         let err = parse_jsonl("{\"kind\":\"run_start\",\"t\":0}\nnot json\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+        let err = parse_jsonl("\n{\"kind\":\"frame_done\",\"t\":0}\n").unwrap_err();
+        assert_eq!(err, "line 2: bad \"delay_s\"");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!   kinds in a [`KindSet`].
 
 use crate::event::{Event, KindSet};
-use simcore::json::ToJson;
 use std::io::Write;
 
 /// Destination for simulator events.
@@ -151,8 +150,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
             return;
         }
         self.line.clear();
-        event.to_json().dump_into(&mut self.line);
-        self.line.push('\n');
+        event.write_jsonl(&mut self.line);
         if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
             self.error = Some(format!("trace write failed: {e}"));
         } else {

@@ -28,9 +28,15 @@
 //! Both `replay` and `assert` *reject* out-of-time-order traces with an
 //! error naming the first offending pair: a disordered trace is treated
 //! as corrupt, never silently re-sorted.
+//!
+//! Output goes through one buffered stdout handle. When the reader
+//! closes the pipe early (`tracecat filter … | head -1`), every
+//! subcommand stops quietly and exits 0; any other write error exits 1.
 
 use simcore::json::{Json, ToJson};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use trace::{
     parse_jsonl, replay, AssertionConfig, AssertionMonitor, Event, KindSet, ReplaySummary,
@@ -40,45 +46,81 @@ use trace::{
 /// at least one assertion (distinct from `1`, any hard error).
 const EXIT_VIOLATIONS: u8 = 3;
 
+/// Why a subcommand stopped before finishing.
+#[derive(Debug)]
+enum Failure {
+    /// Bad usage, unreadable input or a failed check.
+    Error(String),
+    /// Writing stdout failed.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Error(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Output(e)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Error(message) => f.write_str(message),
+            Failure::Output(e) => write!(f, "cannot write to stdout: {e}"),
+        }
+    }
+}
+
 fn load(path: &str) -> Result<Vec<Event>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_summary(events: &[Event]) {
+fn cmd_summary(out: &mut dyn Write, events: &[Event]) -> io::Result<()> {
     let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
     for ev in events {
         *by_kind.entry(ev.name()).or_insert(0) += 1;
     }
-    println!("events: {}", events.len());
+    writeln!(out, "events: {}", events.len())?;
     for (name, count) in &by_kind {
-        println!("  {name:<12} {count}");
+        writeln!(out, "  {name:<12} {count}")?;
     }
     if let (Some(first), Some(last)) = (events.first(), events.last()) {
-        println!(
+        writeln!(
+            out,
             "span  : {:.6} s .. {:.6} s",
             first.at().as_secs_f64(),
             last.at().as_secs_f64()
-        );
+        )?;
     }
     let s = replay(events);
     for (mode, secs) in s.mode_secs() {
-        println!("mode  : {:<8} {secs:.6} s", mode.label());
+        writeln!(out, "mode  : {:<8} {secs:.6} s", mode.label())?;
     }
+    Ok(())
 }
 
-fn cmd_filter(events: &[Event], keep: KindSet) {
+fn cmd_filter(out: &mut dyn Write, events: &[Event], keep: KindSet) -> io::Result<()> {
+    let mut line = String::new();
     for ev in events {
         if keep.contains(ev.kind()) {
-            println!("{}", ev.to_json().dump());
+            line.clear();
+            ev.write_jsonl(&mut line);
+            out.write_all(line.as_bytes())?;
         }
     }
+    Ok(())
 }
 
 /// Prints the Figure 6 view: the decode frequency each time it changes,
 /// reconstructed purely from `decode_start` and `freq_switch` events.
-fn cmd_freq_table(events: &[Event]) {
-    println!("{:>12}  {:>10}", "t_s", "freq_mhz");
+fn cmd_freq_table(out: &mut dyn Write, events: &[Event]) -> io::Result<()> {
+    writeln!(out, "{:>12}  {:>10}", "t_s", "freq_mhz")?;
     let mut current: Option<u32> = None;
     for ev in events {
         let (at, tenths) = match *ev {
@@ -92,20 +134,22 @@ fn cmd_freq_table(events: &[Event]) {
             _ => continue,
         };
         if current != Some(tenths) {
-            println!(
+            writeln!(
+                out,
                 "{:>12.6}  {:>10.1}",
                 at.as_secs_f64(),
                 f64::from(tenths) / 10.0
-            );
+            )?;
             current = Some(tenths);
         }
     }
     let s = replay(events);
-    println!();
-    println!("{:>10}  {:>14}", "freq_mhz", "decode_secs");
+    writeln!(out)?;
+    writeln!(out, "{:>10}  {:>14}", "freq_mhz", "decode_secs")?;
     for (tenths, secs) in s.freq_secs() {
-        println!("{:>10.1}  {secs:>14.6}", f64::from(tenths) / 10.0);
+        writeln!(out, "{:>10.1}  {secs:>14.6}", f64::from(tenths) / 10.0)?;
     }
+    Ok(())
 }
 
 /// Compares a replayed summary against a `SimReport` JSON object and
@@ -173,13 +217,19 @@ fn check_against_report(summary: &ReplaySummary, report: &Json) -> Vec<String> {
     mismatches
 }
 
-fn cmd_replay(events: &[Event], as_json: bool, check: Option<&str>) -> Result<(), String> {
+fn cmd_replay(
+    out: &mut dyn Write,
+    events: &[Event],
+    as_json: bool,
+    check: Option<&str>,
+) -> Result<(), Failure> {
     trace::ensure_time_ordered(events)?;
     let summary = replay(events);
     if as_json {
-        println!("{}", summary.to_json().pretty());
+        writeln!(out, "{}", summary.to_json().pretty())?;
     } else {
-        println!(
+        writeln!(
+            out,
             "frames {} | switches {} | rate changes {} | sleeps {} | wakes {} | {:.3} s",
             summary.frames_completed,
             summary.freq_switches,
@@ -187,9 +237,9 @@ fn cmd_replay(events: &[Event], as_json: bool, check: Option<&str>) -> Result<()
             summary.sleeps,
             summary.wakes,
             summary.duration_secs()
-        );
+        )?;
         for (mode, secs) in summary.mode_secs() {
-            println!("  {:<8} {secs:.6} s", mode.label());
+            writeln!(out, "  {:<8} {secs:.6} s", mode.label())?;
         }
     }
     if let Some(path) = check {
@@ -197,15 +247,16 @@ fn cmd_replay(events: &[Event], as_json: bool, check: Option<&str>) -> Result<()
         let report = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let mismatches = check_against_report(&summary, &report);
         if mismatches.is_empty() {
-            println!("[check] trace is consistent with {path}");
+            writeln!(out, "[check] trace is consistent with {path}")?;
         } else {
+            out.flush()?;
             for m in &mismatches {
                 eprintln!("[check] MISMATCH {m}");
             }
-            return Err(format!(
+            return Err(Failure::Error(format!(
                 "trace disagrees with {path} on {} aggregate(s)",
                 mismatches.len()
-            ));
+            )));
         }
     }
     Ok(())
@@ -214,12 +265,17 @@ fn cmd_replay(events: &[Event], as_json: bool, check: Option<&str>) -> Result<()
 /// Replays the trace through the shared invariant definitions and
 /// prints the verdict. Returns the process exit code: `0` clean,
 /// [`EXIT_VIOLATIONS`] when any invariant tripped.
-fn cmd_assert(events: &[Event], config: &AssertionConfig, as_json: bool) -> Result<u8, String> {
+fn cmd_assert(
+    out: &mut dyn Write,
+    events: &[Event],
+    config: &AssertionConfig,
+    as_json: bool,
+) -> Result<u8, Failure> {
     let report = AssertionMonitor::check(config, events)?;
     if as_json {
-        println!("{}", report.to_json().pretty());
+        writeln!(out, "{}", report.to_json().pretty())?;
     } else {
-        println!("{report}");
+        writeln!(out, "{report}")?;
     }
     Ok(if report.is_clean() {
         0
@@ -270,32 +326,36 @@ fn parse_tail(args: &[String], flag: &str) -> Result<(bool, Option<String>, Stri
     Ok((as_json, value, path.ok_or_else(|| usage().to_owned())?))
 }
 
-fn run(args: &[String]) -> Result<u8, String> {
+/// Runs one subcommand, writing its output to `out` (buffered: the
+/// caller flushes). Returns the exit code.
+fn run(out: &mut dyn Write, args: &[String]) -> Result<u8, Failure> {
+    let usage = || Failure::Error(usage().to_owned());
     match args.first().map(String::as_str) {
         Some("summary") => {
             let [path] = &args[1..] else {
-                return Err(usage().to_owned());
+                return Err(usage());
             };
-            cmd_summary(&load(path)?);
+            cmd_summary(out, &load(path)?)?;
             Ok(0)
         }
         Some("filter") => match &args[1..] {
             [kinds_flag, kinds, path] if kinds_flag == "--kinds" => {
-                cmd_filter(&load(path)?, KindSet::parse(kinds)?);
+                let keep = KindSet::parse(kinds)?;
+                cmd_filter(out, &load(path)?, keep)?;
                 Ok(0)
             }
-            _ => Err(usage().to_owned()),
+            _ => Err(usage()),
         },
         Some("freq-table") => {
             let [path] = &args[1..] else {
-                return Err(usage().to_owned());
+                return Err(usage());
             };
-            cmd_freq_table(&load(path)?);
+            cmd_freq_table(out, &load(path)?)?;
             Ok(0)
         }
         Some("replay") => {
             let (as_json, check, path) = parse_tail(&args[1..], "--check")?;
-            cmd_replay(&load(&path)?, as_json, check.as_deref())?;
+            cmd_replay(out, &load(&path)?, as_json, check.as_deref())?;
             Ok(0)
         }
         Some("assert") => {
@@ -304,17 +364,26 @@ fn run(args: &[String]) -> Result<u8, String> {
                 Some(p) => load_assert_config(&p)?,
                 None => AssertionConfig::paper(),
             };
-            cmd_assert(&load(&path)?, &config, as_json)
+            cmd_assert(out, &load(&path)?, &config, as_json)
         }
-        _ => Err(usage().to_owned()),
+        _ => Err(usage()),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = BufWriter::new(io::stdout().lock());
+    let result = run(&mut out, &args).and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    });
+    match result {
         Ok(code) => ExitCode::from(code),
+        // The reader closed the pipe: it has all the output it wants.
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
+            // Best effort: whatever stdout still holds goes before the error.
+            let _ = out.flush();
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -425,31 +494,77 @@ mod tests {
 
     #[test]
     fn cli_shape_is_validated() {
+        let run = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+            run(&mut io::sink(), &args)
+        };
         assert!(run(&[]).is_err());
-        assert!(run(&["summarize".into()]).is_err());
-        assert!(run(&["summary".into()]).is_err());
-        assert!(run(&["filter".into(), "--kinds".into(), "freq".into()]).is_err());
-        assert!(run(&["replay".into(), "--check".into()]).is_err());
-        assert!(run(&["replay".into(), "/nonexistent/trace.jsonl".into()]).is_err());
-        assert!(run(&["assert".into(), "--config".into()]).is_err());
-        assert!(run(&["assert".into(), "/nonexistent/trace.jsonl".into()]).is_err());
+        assert!(run(&["summarize"]).is_err());
+        assert!(run(&["summary"]).is_err());
+        assert!(run(&["filter", "--kinds", "freq"]).is_err());
+        assert!(run(&["replay", "--check"]).is_err());
+        assert!(run(&["replay", "/nonexistent/trace.jsonl"]).is_err());
+        assert!(run(&["assert", "--config"]).is_err());
+        assert!(run(&["assert", "/nonexistent/trace.jsonl"]).is_err());
     }
 
     #[test]
     fn replay_rejects_out_of_order_traces() {
         let mut events = sample_events();
         events.swap(2, 3); // frame_done now precedes its decode_start
-        let err = cmd_replay(&events, false, None).expect_err("disordered trace");
+        let err = cmd_replay(&mut io::sink(), &events, false, None)
+            .expect_err("disordered trace")
+            .to_string();
         assert!(err.contains("out of time order"), "{err}");
         // The same trace in order replays fine.
-        cmd_replay(&sample_events(), false, None).expect("ordered trace");
+        cmd_replay(&mut io::sink(), &sample_events(), false, None).expect("ordered trace");
+    }
+
+    #[test]
+    fn filter_writes_the_kept_events_as_jsonl() {
+        let mut out = Vec::new();
+        let keep = KindSet::parse("run,sleep").unwrap();
+        cmd_filter(&mut out, &sample_events(), keep).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(
+            text,
+            "{\"kind\":\"run_start\",\"t\":0}\n\
+             {\"kind\":\"sleep_enter\",\"t\":5000,\"state\":\"standby\"}\n\
+             {\"kind\":\"run_end\",\"t\":10000}\n"
+        );
+    }
+
+    #[test]
+    fn write_errors_surface_as_output_failures() {
+        struct ClosedPipe;
+        impl Write for ClosedPipe {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = cmd_summary(&mut ClosedPipe, &sample_events()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        let failure = cmd_assert(
+            &mut ClosedPipe,
+            &sample_events(),
+            &AssertionConfig::paper(),
+            false,
+        )
+        .unwrap_err();
+        assert!(matches!(failure, Failure::Output(ref e) if e.kind() == io::ErrorKind::BrokenPipe));
     }
 
     #[test]
     fn assert_exit_codes_separate_clean_violating_and_corrupt() {
         let config = AssertionConfig::paper();
+        let assert = |events: &[Event], as_json: bool| {
+            cmd_assert(&mut io::sink(), events, &config, as_json).map_err(|e| e.to_string())
+        };
         // The sample trace is clean under the paper invariants.
-        assert_eq!(cmd_assert(&sample_events(), &config, false), Ok(0));
+        assert_eq!(assert(&sample_events(), false), Ok(0));
         // An occupancy overflow trips the watchdog invariant: exit 3.
         let mut events = sample_events();
         events.insert(
@@ -459,10 +574,10 @@ mod tests {
                 occupancy: 100,
             },
         );
-        assert_eq!(cmd_assert(&events, &config, true), Ok(EXIT_VIOLATIONS));
+        assert_eq!(assert(&events, true), Ok(EXIT_VIOLATIONS));
         // A disordered trace is an error, not a verdict.
         events.swap(2, 3);
-        let err = cmd_assert(&events, &config, false).expect_err("disordered");
+        let err = assert(&events, false).expect_err("disordered");
         assert!(err.contains("out of time order"), "{err}");
     }
 }

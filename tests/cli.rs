@@ -862,3 +862,79 @@ fn tracecat_check_verifies_and_rejects_reports() {
     let err = String::from_utf8(out.stderr).expect("utf8");
     assert!(err.contains("cannot read"), "{err}");
 }
+
+/// Writes a traced `mp3:A` run (~1 MB of JSONL) into `dir`.
+fn write_trace(dir: &std::path::Path) -> std::path::PathBuf {
+    std::fs::create_dir_all(dir).expect("temp dir");
+    let trace = dir.join("run.jsonl");
+    let out = dvsdpm()
+        .args([
+            "run",
+            "--workload",
+            "mp3:A",
+            "--governor",
+            "change-point",
+            "--dpm",
+            "break-even",
+            "--seed",
+            "4",
+            "--trace",
+        ])
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    trace
+}
+
+#[test]
+fn tracecat_filter_of_every_kind_rewrites_the_trace_byte_for_byte() {
+    let trace = write_trace(&std::env::temp_dir().join("dvsdpm-cli-filter-identity"));
+    let out = tracecat()
+        .args([
+            "filter",
+            "--kinds",
+            "run,mode,freq,rate,sleep,wake,drop,degrade,frame",
+        ])
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read(&trace).expect("trace readable");
+    assert!(written.len() > 256 * 1024, "trace too small to matter");
+    assert!(out.stdout == written, "filter changed the trace bytes");
+}
+
+#[test]
+fn tracecat_stops_cleanly_when_the_reader_closes_the_pipe() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    let trace = write_trace(&std::env::temp_dir().join("dvsdpm-cli-closed-pipe"));
+    // The trace is far larger than a pipe buffer, so the filter is still
+    // writing when the reader goes away, as under `| head -1`.
+    let mut child = tracecat()
+        .args(["filter", "--kinds", "run,mode,freq,frame"])
+        .arg(&trace)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut reader = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    reader.read_line(&mut first).expect("one line");
+    assert!(first.starts_with("{\"kind\":\"run_start\""), "{first}");
+    drop(reader);
+    let out = child.wait_with_output().expect("process exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}

@@ -92,8 +92,10 @@ fn events_survive_a_json_round_trip_individually() {
     };
     let (text, _) = traced_jsonl(&config, 102);
     let events = parse_jsonl(&text).expect("valid JSONL");
+    let mut line = String::new();
     for (i, ev) in events.iter().enumerate() {
-        let line = ev.to_json().dump();
+        line.clear();
+        ev.write_jsonl(&mut line);
         let back = parse_jsonl(&line).expect("single line parses");
         assert_eq!(back.len(), 1);
         assert_eq!(back[0], *ev, "event {i} changed across a round trip");
