@@ -17,6 +17,7 @@ use detect::window::SampleWindow;
 use simcore::dist::{Exponential, Sample};
 use simcore::rng::SimRng;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
@@ -37,12 +38,13 @@ fn bench_detector_update() {
         ..ChangePointConfig::default()
     };
     let template = ChangePointDetector::new(25.0, config.clone()).expect("valid config");
-    let table = template.table().clone();
+    let table = Arc::new(template.table().clone());
     let dist = Exponential::new(25.0).expect("static rate");
 
     bench("change_point_observe_x100", 200, || {
-        let mut det = ChangePointDetector::with_table(25.0, table.clone(), config.check_interval)
-            .expect("valid detector");
+        let mut det =
+            ChangePointDetector::with_shared_table(25.0, Arc::clone(&table), config.check_interval)
+                .expect("valid detector");
         let mut rng = SimRng::seed_from(1);
         for _ in 0..config.window {
             det.observe(dist.sample(&mut rng));

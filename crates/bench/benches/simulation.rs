@@ -12,7 +12,7 @@ use dpm::tismdp::{TismdpConfig, TismdpPolicy};
 use framequeue::FrameBuffer;
 use hardware::SmartBadge;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::Run;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use std::hint::black_box;
@@ -40,7 +40,7 @@ fn bench_full_system() {
     bench("simulate_mp3_clip_100s_ideal", 20, || {
         let mut rng = SimRng::seed_from(1);
         let trace = workload::Mp3Clip::table2()[0].generate(&mut rng);
-        black_box(scenario::run_trace(&trace, &config, 1).expect("runs"));
+        black_box(Run::trace(&trace, &config, 1).execute().expect("runs"));
     });
 
     let config = SystemConfig {
@@ -51,7 +51,7 @@ fn bench_full_system() {
     bench("simulate_mp3_clip_100s_tismdp", 20, || {
         let mut rng = SimRng::seed_from(2);
         let trace = workload::Mp3Clip::table2()[0].generate(&mut rng);
-        black_box(scenario::run_trace(&trace, &config, 2).expect("runs"));
+        black_box(Run::trace(&trace, &config, 2).execute().expect("runs"));
     });
 }
 

@@ -8,7 +8,7 @@
 
 use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 
 struct Row {
     policy: String,
@@ -88,7 +88,9 @@ fn main() {
             dpm,
             ..SystemConfig::default()
         };
-        let report = scenario::run_session(&config, bench::EXPERIMENT_SEED).expect("ablation runs");
+        let report = Run::workload(&Workload::Session, &config, bench::EXPERIMENT_SEED)
+            .execute()
+            .expect("ablation runs");
         println!(
             "{:<26} {:>11.3} {:>10.3} {:>8} {:>7} {:>11.0} {:>9.0}",
             name,

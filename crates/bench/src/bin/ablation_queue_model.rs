@@ -9,7 +9,7 @@
 
 use powermgr::config::{DpmKind, SystemConfig};
 use powermgr::dvs::QueueModel;
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 use simcore::rng::SimRng;
 use workload::MpegClip;
 
@@ -70,8 +70,13 @@ fn main() {
             queue_model: model,
             ..SystemConfig::default()
         };
-        let report = scenario::run_mpeg_clip("football", &config, bench::EXPERIMENT_SEED)
-            .expect("ablation scenario runs");
+        let report = Run::workload(
+            &Workload::Mpeg("football".into()),
+            &config,
+            bench::EXPERIMENT_SEED,
+        )
+        .execute()
+        .expect("ablation scenario runs");
         println!(
             "{:<24} {:>11.3} {:>12.3}",
             name,

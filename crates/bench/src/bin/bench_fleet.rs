@@ -102,9 +102,8 @@ simcore::impl_to_json!(TwoKeyOverlap {
 });
 
 /// Times two cold-miss calibrations on distinct cache keys, sequential
-/// vs concurrent. All four keys are unique to this process run (the
-/// seeds are reserved for this benchmark), so every lookup is a true
-/// miss; each calibration runs single-threaded internally so the
+/// vs concurrent. The four keys are distinct and the cache is private
+/// to this measurement, so every lookup is a true miss; each calibration runs single-threaded internally so the
 /// measurement isolates cross-key concurrency, not intra-calibration
 /// parallelism.
 fn bench_two_key_overlap(cores: u64) -> TwoKeyOverlap {
@@ -113,8 +112,10 @@ fn bench_two_key_overlap(cores: u64) -> TwoKeyOverlap {
         ..CalibrationConfig::default()
     };
     let ratios = default_ratios();
+    let cache = detect::cache::ThresholdCache::default();
     let calibrate = |seed: u64| {
-        detect::cache::cached_table(&ratios, config, seed, Jobs::Count(1))
+        cache
+            .table(&ratios, config, seed, Jobs::Count(1))
             .expect("benchmark calibration succeeds")
     };
 

@@ -5,7 +5,7 @@
 //! here as the decode-time residency per operating point for each
 //! governor on the ACEFBD audio sequence.
 
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 
 struct Row {
     governor: String,
@@ -38,8 +38,13 @@ fn main() {
     let mut distinct_states = Vec::new();
     for (name, governor) in &governors {
         let config = bench::dvs_only(governor.clone());
-        let report = scenario::run_mp3_sequence("ACEFBD", &config, bench::EXPERIMENT_SEED)
-            .expect("figure 8 scenario runs");
+        let report = Run::workload(
+            &Workload::Mp3("ACEFBD".into()),
+            &config,
+            bench::EXPERIMENT_SEED,
+        )
+        .execute()
+        .expect("figure 8 scenario runs");
         let col: Vec<f64> = cpu
             .operating_points()
             .iter()

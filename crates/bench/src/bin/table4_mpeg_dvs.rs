@@ -7,7 +7,7 @@
 //! the change-point algorithm achieves significant savings with a very
 //! small delay penalty.
 
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 
 struct Row {
     clip: String,
@@ -34,11 +34,13 @@ fn main() {
         "clip", "algorithm", "energy kJ", "delay s", "switches"
     );
     for (ci, clip) in clips.iter().enumerate() {
+        let workload = Workload::Mpeg((*clip).to_owned());
         for (name, governor) in bench::table_governors() {
             let config = bench::dvs_only(governor);
             let seed = bench::EXPERIMENT_SEED + 100 + ci as u64;
-            let report =
-                scenario::run_mpeg_clip(clip, &config, seed).expect("table 4 scenario runs");
+            let report = Run::workload(&workload, &config, seed)
+                .execute()
+                .expect("table 4 scenario runs");
             println!(
                 "{:<12} {:<13} {:>11.3} {:>12.3} {:>10}",
                 clip,

@@ -23,12 +23,12 @@
 
 use bench::EXPERIMENT_SEED;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 use powermgr::SimReport;
 use simcore::json::ToJson;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use trace::{JsonlSink, NullSink, RingSink, TraceSink};
+use trace::{AssertionConfig, AssertionMonitor, JsonlSink, NullSink, RingSink, TraceSink};
 
 const ROUNDS: usize = 7;
 
@@ -64,31 +64,29 @@ fn main() -> ExitCode {
         "tracing hot-path cost vs untraced baseline",
     );
 
-    let (t_off, r_off) =
-        min_time(|| scenario::run_mp3_sequence("AB", &cfg, seed).expect("untraced run"));
-    let (t_null, r_null) = min_time(|| {
-        let mut sink = NullSink;
-        scenario::run_mp3_sequence_traced("AB", &cfg, seed, &mut sink).expect("null-sink run")
-    });
-    let (t_ring, r_ring) = min_time(|| {
-        let mut sink = RingSink::new(1 << 16);
-        scenario::run_mp3_sequence_traced("AB", &cfg, seed, &mut sink).expect("ring-sink run")
-    });
+    let workload = Workload::Mp3("AB".to_owned());
+    let run = |sink: Option<&mut dyn TraceSink>, monitor: Option<&mut AssertionMonitor>| {
+        Run {
+            // The cast lets the sink's lifetime shorten to the run's.
+            sink: sink.map(|s| s as &mut dyn TraceSink),
+            monitor,
+            ..Run::workload(&workload, &cfg, seed)
+        }
+        .execute()
+        .expect("trace-overhead run")
+    };
+    let (t_off, r_off) = min_time(|| run(None, None));
+    let (t_null, r_null) = min_time(|| run(Some(&mut NullSink), None));
+    let (t_ring, r_ring) = min_time(|| run(Some(&mut RingSink::new(1 << 16)), None));
     let (t_jsonl, r_jsonl) = min_time(|| {
         let mut sink = JsonlSink::new(Vec::with_capacity(1 << 20));
-        let r = scenario::run_mp3_sequence_traced("AB", &cfg, seed, &mut sink).expect("jsonl run");
+        let r = run(Some(&mut sink), None);
         sink.finish().expect("in-memory write");
         r
     });
-    let workload = scenario::Workload::Mp3("AB".to_owned());
-    let shared = powermgr::SharedResources::default();
     let (t_mon, mut r_mon) = min_time(|| {
-        let mut sink = RingSink::new(1 << 16);
-        let mut monitor =
-            trace::AssertionMonitor::new(&trace::AssertionConfig::paper()).expect("valid config");
-        workload
-            .run_observed(&cfg, seed, &shared, Some(&mut sink), Some(&mut monitor))
-            .expect("monitored run")
+        let mut monitor = AssertionMonitor::new(&AssertionConfig::paper()).expect("valid config");
+        run(Some(&mut RingSink::new(1 << 16)), Some(&mut monitor))
     });
 
     assert!(

@@ -10,7 +10,7 @@
 use hardware::perf::PerformanceCurve;
 use hardware::CpuModel;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::Run;
 use simcore::rng::SimRng;
 use workload::schedule::RateSchedule;
 use workload::MpegClip;
@@ -62,7 +62,8 @@ fn main() {
         );
         let mut rng = SimRng::seed_from(bench::EXPERIMENT_SEED).fork("validate-queueing");
         let trace = clip.generate(&mut rng);
-        let report = scenario::run_trace(&trace, &config, bench::EXPERIMENT_SEED)
+        let report = Run::trace(&trace, &config, bench::EXPERIMENT_SEED)
+            .execute()
             .expect("validation scenario runs");
         let analytical = framequeue::mm1::mean_delay(arrival, service).expect("stable");
         let simulated = report.mean_frame_delay_s();

@@ -154,7 +154,7 @@ pub mod chaos {
     use faults::FaultSpec;
     use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
     use powermgr::metrics::ModeKey;
-    use powermgr::scenario;
+    use powermgr::scenario::{Run, Workload};
     use simcore::json::ToJson;
     use simcore::par::{par_map_range, Jobs};
     use simcore::rng::SimRng;
@@ -229,7 +229,9 @@ pub mod chaos {
     pub fn run_seed(seed: u64) -> Result<ChaosRow, String> {
         let mut rng = SimRng::seed_from(seed).fork("chaos-spec");
         let spec = FaultSpec::randomized(&mut rng);
-        let report = scenario::run_mp3_sequence(LABELS, &chaos_config(spec.clone()), seed)
+        let workload = Workload::Mp3(LABELS.to_owned());
+        let report = Run::workload(&workload, &chaos_config(spec.clone()), seed)
+            .execute()
             .map_err(|e| e.to_string())?;
 
         // Invariant checks (mirrors tests/chaos.rs, but reported not
@@ -254,7 +256,7 @@ pub mod chaos {
         if !(0.0..=1.0).contains(&r.deadline_miss_ratio()) {
             violations += 1;
         }
-        let replay = scenario::run_mp3_sequence(LABELS, &chaos_config(spec), seed);
+        let replay = Run::workload(&workload, &chaos_config(spec), seed).execute();
         match replay {
             Ok(b) if b.to_json().dump() == report.to_json().dump() => {}
             _ => violations += 1,

@@ -8,10 +8,12 @@
 
 use crate::config::GovernorKind;
 use crate::PmError;
+use detect::calibrate::ThresholdTable;
 use detect::changepoint::ChangePointDetector;
 use detect::ema::EmaEstimator;
 use detect::estimator::{DetectionStat, RateEstimator};
 use detect::oracle::OracleEstimator;
+use std::sync::Arc;
 
 /// Details of the most recent rate change a governor signalled, for
 /// tracing and diagnostics.
@@ -141,6 +143,15 @@ impl Governor {
     /// `initial_arrival` / `initial_service` seed the estimators before
     /// warm-up completes (frames/second).
     ///
+    /// A change-point governor takes `table` when given one and
+    /// otherwise resolves its table through the process-wide threshold
+    /// cache (one lookup per governor). Batch harnesses that build many
+    /// identically configured governors — the fleet engine's cohorts —
+    /// resolve the table once via
+    /// [`detect::ChangePointConfig::resolve_table`] and pass it here; the
+    /// cache returns the same `Arc` either way, so the governor behaves
+    /// identically. Other governors ignore `table`.
+    ///
     /// # Errors
     ///
     /// Returns an error if a rate or a strategy parameter is invalid.
@@ -148,31 +159,7 @@ impl Governor {
         kind: &GovernorKind,
         initial_arrival: f64,
         initial_service: f64,
-    ) -> Result<Self, PmError> {
-        Self::build_with_table(kind, initial_arrival, initial_service, None)
-    }
-
-    /// [`Self::build`] with an optionally pre-resolved threshold table.
-    ///
-    /// A change-point governor normally resolves its table through the
-    /// process-wide cache (one lookup per governor). Batch harnesses
-    /// that construct many identically configured governors — the fleet
-    /// engine's cohort stepping — resolve the table once per cohort via
-    /// [`detect::ChangePointConfig::resolve_table`] and pass it here,
-    /// skipping the cache entirely. Passing `Some` table that was
-    /// resolved from the same config is behaviorally identical to
-    /// `None`: the cache returns the same `Arc` either way.
-    ///
-    /// Non-change-point governors ignore `table`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a rate or a strategy parameter is invalid.
-    pub fn build_with_table(
-        kind: &GovernorKind,
-        initial_arrival: f64,
-        initial_service: f64,
-        table: Option<&std::sync::Arc<detect::calibrate::ThresholdTable>>,
+        table: Option<&Arc<ThresholdTable>>,
     ) -> Result<Self, PmError> {
         for (name, v) in [
             ("initial_arrival", initial_arrival),
@@ -194,7 +181,7 @@ impl Governor {
                 let first = match table {
                     Some(table) => ChangePointDetector::with_shared_table(
                         initial_arrival,
-                        std::sync::Arc::clone(table),
+                        Arc::clone(table),
                         config.check_interval,
                     )?,
                     None => ChangePointDetector::new(initial_arrival, config.clone())?,
@@ -327,7 +314,7 @@ mod tests {
 
     #[test]
     fn ideal_tracks_truth_immediately() {
-        let mut g = Governor::build(&GovernorKind::Ideal, 20.0, 100.0).unwrap();
+        let mut g = Governor::build(&GovernorKind::Ideal, 20.0, 100.0, None).unwrap();
         assert_eq!(g.last_detection(), None);
         assert!(!g.on_arrival(Some(0.05), 20.0));
         assert!(g.on_arrival(Some(0.02), 44.0));
@@ -346,7 +333,7 @@ mod tests {
 
     #[test]
     fn max_performance_never_changes() {
-        let mut g = Governor::build(&GovernorKind::MaxPerformance, 20.0, 100.0).unwrap();
+        let mut g = Governor::build(&GovernorKind::MaxPerformance, 20.0, 100.0, None).unwrap();
         assert!(g.wants_max());
         assert!(!g.on_arrival(Some(0.01), 90.0));
         assert!(!g.on_decode(0.001, 500.0));
@@ -355,7 +342,7 @@ mod tests {
 
     #[test]
     fn warmup_sets_data_driven_rate() {
-        let mut g = Governor::build(&GovernorKind::quick_change_point(), 5.0, 5.0).unwrap();
+        let mut g = Governor::build(&GovernorKind::quick_change_point(), 5.0, 5.0, None).unwrap();
         // 20 gaps of 25 ms → warm-up MLE of 40 fr/s despite the bad seed.
         let mut changed = false;
         for _ in 0..WARMUP_SAMPLES {
@@ -371,7 +358,7 @@ mod tests {
 
     #[test]
     fn warmup_rate_is_running_mle() {
-        let mut g = Governor::build(&GovernorKind::quick_change_point(), 5.0, 5.0).unwrap();
+        let mut g = Governor::build(&GovernorKind::quick_change_point(), 5.0, 5.0, None).unwrap();
         g.on_arrival(Some(0.1), 10.0);
         g.on_arrival(Some(0.1), 10.0);
         assert!((g.arrival_rate() - 10.0).abs() < 1e-9);
@@ -379,7 +366,7 @@ mod tests {
 
     #[test]
     fn change_point_governor_detects_service_change() {
-        let mut g = Governor::build(&GovernorKind::quick_change_point(), 20.0, 80.0).unwrap();
+        let mut g = Governor::build(&GovernorKind::quick_change_point(), 20.0, 80.0, None).unwrap();
         let mut rng = simcore::rng::SimRng::seed_from(1);
         let slow = simcore::dist::Exponential::new(80.0).unwrap();
         let fast = simcore::dist::Exponential::new(200.0).unwrap();
@@ -406,7 +393,8 @@ mod tests {
 
     #[test]
     fn ema_governor_reports_every_sample_after_warmup() {
-        let mut g = Governor::build(&GovernorKind::ExpAverage { gain: 0.3 }, 20.0, 80.0).unwrap();
+        let mut g =
+            Governor::build(&GovernorKind::ExpAverage { gain: 0.3 }, 20.0, 80.0, None).unwrap();
         for _ in 0..WARMUP_SAMPLES {
             g.on_arrival(Some(0.05), 20.0);
         }
@@ -416,20 +404,23 @@ mod tests {
 
     #[test]
     fn idle_gaps_are_excluded() {
-        let mut g = Governor::build(&GovernorKind::quick_change_point(), 20.0, 80.0).unwrap();
+        let mut g = Governor::build(&GovernorKind::quick_change_point(), 20.0, 80.0, None).unwrap();
         assert!(!g.on_arrival(None, 20.0));
         assert_eq!(g.arrival_rate(), 20.0, "no sample consumed");
     }
 
     #[test]
     fn build_validates() {
-        assert!(Governor::build(&GovernorKind::Ideal, 0.0, 10.0).is_err());
-        assert!(Governor::build(&GovernorKind::ExpAverage { gain: 2.0 }, 10.0, 10.0).is_err());
+        assert!(Governor::build(&GovernorKind::Ideal, 0.0, 10.0, None).is_err());
+        assert!(
+            Governor::build(&GovernorKind::ExpAverage { gain: 2.0 }, 10.0, 10.0, None).is_err()
+        );
     }
 
     #[test]
     fn degenerate_samples_are_rejected_and_counted() {
-        let mut g = Governor::build(&GovernorKind::ExpAverage { gain: 0.3 }, 20.0, 80.0).unwrap();
+        let mut g =
+            Governor::build(&GovernorKind::ExpAverage { gain: 0.3 }, 20.0, 80.0, None).unwrap();
         for _ in 0..WARMUP_SAMPLES {
             g.on_arrival(Some(0.05), 20.0);
         }
@@ -446,7 +437,7 @@ mod tests {
 
     #[test]
     fn oracle_streams_never_count_rejections() {
-        let mut g = Governor::build(&GovernorKind::Ideal, 20.0, 80.0).unwrap();
+        let mut g = Governor::build(&GovernorKind::Ideal, 20.0, 80.0, None).unwrap();
         g.on_arrival(Some(f64::NAN), 20.0);
         assert_eq!(g.rejected_samples(), 0, "oracle never consumes samples");
     }

@@ -27,7 +27,8 @@
 //! * [`metrics`] — the report every experiment produces,
 //! * [`config`] — experiment configuration,
 //! * [`scenario`] — canned paper scenarios (Table 3 sequences, Table 4
-//!   clips, the Table 5 session).
+//!   clips, the Table 5 session) and [`scenario::Run`], the one way to
+//!   run a device.
 //!
 //! # Example
 //!
@@ -36,7 +37,7 @@
 //!
 //! ```
 //! use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-//! use powermgr::scenario;
+//! use powermgr::scenario::{Run, Workload};
 //!
 //! # fn main() -> Result<(), powermgr::PmError> {
 //! let config = SystemConfig {
@@ -44,7 +45,8 @@
 //!     dpm: DpmKind::None,
 //!     ..SystemConfig::default()
 //! };
-//! let report = scenario::run_mp3_sequence("ACEFBD", &config, 7)?;
+//! let sequence = Workload::Mp3("ACEFBD".into());
+//! let report = Run::workload(&sequence, &config, 7).execute()?;
 //! assert!(report.total_energy_j() > 0.0);
 //! assert!(report.mean_frame_delay_s() < 1.0);
 //! # Ok(())

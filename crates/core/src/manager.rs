@@ -9,6 +9,7 @@
 use crate::config::{SupervisorConfig, SystemConfig};
 use crate::dvs::DvsPolicy;
 use crate::governor::{Governor, RateDetection};
+use crate::resolve::SharedResources;
 use crate::PmError;
 use dpm::costs::DpmCosts;
 use dpm::policy::{DpmPolicy, IdlePlan, SleepState};
@@ -124,7 +125,9 @@ impl PowerManager {
     ///
     /// `initial_arrival` / `initial_service` seed the governor's rate
     /// estimates (frames/second at maximum frequency for the service
-    /// rate).
+    /// rate). A change-point governor takes its threshold table from
+    /// `shared` when it holds one, and resolves it through the threshold
+    /// cache otherwise — the same table either way.
     ///
     /// # Errors
     ///
@@ -134,34 +137,9 @@ impl PowerManager {
         config: &SystemConfig,
         initial_arrival: f64,
         initial_service: f64,
+        shared: &SharedResources,
     ) -> Result<Self, PmError> {
-        Self::build_shared(
-            badge,
-            config,
-            initial_arrival,
-            initial_service,
-            &crate::resolve::SharedResources::default(),
-        )
-    }
-
-    /// [`Self::build`] from pre-resolved shared resources: a cohort
-    /// harness resolves the change-point threshold table once (see
-    /// [`crate::resolve::SharedResources`]) and every manager built
-    /// here performs zero threshold-cache traffic. Behaviorally
-    /// identical to [`Self::build`] when the resources were resolved
-    /// from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any sub-policy rejects its parameters.
-    pub fn build_shared(
-        badge: &SmartBadge,
-        config: &SystemConfig,
-        initial_arrival: f64,
-        initial_service: f64,
-        shared: &crate::resolve::SharedResources,
-    ) -> Result<Self, PmError> {
-        let governor = Governor::build_with_table(
+        let governor = Governor::build(
             &config.governor,
             initial_arrival,
             initial_service,
@@ -400,7 +378,7 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        PowerManager::build(&badge, &config, 25.0, 100.0).unwrap()
+        PowerManager::build(&badge, &config, 25.0, 100.0, &SharedResources::default()).unwrap()
     }
 
     #[test]
@@ -463,7 +441,8 @@ mod tests {
             overload_boost_depth: Some(8),
             ..SystemConfig::default()
         };
-        let mut m = PowerManager::build(&badge, &config, 25.0, 100.0).unwrap();
+        let mut m =
+            PowerManager::build(&badge, &config, 25.0, 100.0, &SharedResources::default()).unwrap();
         // Light load: DVS picks a low point.
         m.on_arrival(MediaKind::Mp3Audio, Some(0.07), 14.0);
         m.on_decode_complete(MediaKind::Mp3Audio, 0.005, 215.0);
@@ -514,7 +493,8 @@ mod tests {
             }),
             ..SystemConfig::default()
         };
-        let mut m = PowerManager::build(&badge, &config, 25.0, 100.0).unwrap();
+        let mut m =
+            PowerManager::build(&badge, &config, 25.0, 100.0, &SharedResources::default()).unwrap();
         // Light load so the DVS picks a low point we can degrade from.
         m.on_arrival(MediaKind::Mp3Audio, Some(0.07), 14.0);
         m.on_decode_complete(MediaKind::Mp3Audio, 0.005, 215.0);
@@ -614,6 +594,8 @@ mod tests {
             }),
             ..SystemConfig::default()
         };
-        assert!(PowerManager::build(&badge, &config, 25.0, 100.0).is_err());
+        assert!(
+            PowerManager::build(&badge, &config, 25.0, 100.0, &SharedResources::default()).is_err()
+        );
     }
 }

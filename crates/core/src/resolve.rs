@@ -9,12 +9,12 @@
 //! that table **once per cohort** and hand it to every construction,
 //! so the per-device path performs zero cache traffic.
 //!
-//! Byte-identity: [`SharedResources::resolve`] performs exactly the
+//! Byte-identity: [`SharedResources::resolve_governor`] performs exactly the
 //! lookup [`detect::ChangePointDetector::new`] would (same key, same
 //! cache), so a simulator built from pre-resolved resources produces
 //! bit-identical reports to one built without them.
 
-use crate::config::{GovernorKind, SystemConfig};
+use crate::config::GovernorKind;
 use crate::PmError;
 use detect::calibrate::ThresholdTable;
 use std::sync::Arc;
@@ -30,15 +30,6 @@ pub struct SharedResources {
 }
 
 impl SharedResources {
-    /// Resolves every shared resource `config` needs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates threshold-calibration errors.
-    pub fn resolve(config: &SystemConfig) -> Result<Self, PmError> {
-        Self::resolve_governor(&config.governor)
-    }
-
     /// Resolves the shared resources for a governor kind alone.
     ///
     /// # Errors

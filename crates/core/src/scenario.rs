@@ -1,21 +1,21 @@
-//! Canned paper scenarios.
+//! Canned paper scenarios and the one way to run a device.
 //!
-//! One function per experiment family, so tests, examples and the bench
-//! harness all run the *same* code paths:
-//!
-//! * [`run_mp3_sequence`] — a Table 3 cell (one MP3 sequence under one
-//!   governor),
-//! * [`run_mpeg_clip`] — a Table 4 cell,
-//! * [`run_session`] — a Table 5 cell (the mixed audio/video session
-//!   with idle gaps, under DVS and/or DPM).
+//! A [`Workload`] names a paper experiment family — an MP3 sequence
+//! (a Table 3 cell), an MPEG clip (a Table 4 cell), or the mixed
+//! audio/video session with idle gaps (a Table 5 cell) — and builds its
+//! frame trace. A [`Run`] plays one workload (or any prepared trace)
+//! through the merged DVS + DPM power manager, so tests, examples, the
+//! CLI, the fleet engine and the bench harness all run the *same* code
+//! path.
 
 use crate::config::SystemConfig;
 use crate::metrics::SimReport;
+use crate::resolve::SharedResources;
 use crate::system::SystemSimulator;
 use crate::PmError;
 use simcore::rng::SimRng;
 use std::fmt;
-use trace::TraceSink;
+use trace::{AssertionMonitor, TraceSink};
 use workload::session::Session;
 use workload::{mp3, MpegClip, Trace};
 
@@ -61,99 +61,35 @@ impl Workload {
         }
     }
 
-    /// Generates this workload's trace exactly as [`Self::run`] would.
+    /// Generates this workload's frame trace at `seed`: the trace a
+    /// [`Run`] of this workload at the same seed plays.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown clip labels.
+    /// Returns an error for unknown clip labels or names.
     pub fn build(&self, seed: u64) -> Result<Trace, PmError> {
+        let root = SimRng::seed_from(seed);
         match self {
-            Workload::Mp3(labels) => build_mp3_sequence(labels, seed),
-            Workload::Mpeg(clip) => build_mpeg_clip(clip, seed),
-            Workload::Session => build_session(seed),
+            Workload::Mp3(labels) => Ok(mp3::sequence(labels, &mut root.fork("mp3-sequence"))?),
+            Workload::Mpeg(name) => {
+                let clip = match name.as_str() {
+                    "football" => MpegClip::football(),
+                    "terminator2" => MpegClip::terminator2(),
+                    _ => {
+                        return Err(PmError::InvalidParameter {
+                            name: "clip name (expected football|terminator2)",
+                            value: f64::NAN,
+                        })
+                    }
+                };
+                Ok(clip.generate(&mut root.fork("mpeg-clip")))
+            }
+            Workload::Session => {
+                let mut rng = root.fork("session");
+                let session = Session::table5(&mut rng);
+                Ok(session.generate(&mut rng)?)
+            }
         }
-    }
-
-    /// Runs this workload under `config` at `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run(&self, config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-        match self {
-            Workload::Mp3(labels) => run_mp3_sequence(labels, config, seed),
-            Workload::Mpeg(clip) => run_mpeg_clip(clip, config, seed),
-            Workload::Session => run_session(config, seed),
-        }
-    }
-
-    /// [`Self::run`], recording structured events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_traced(
-        &self,
-        config: &SystemConfig,
-        seed: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Result<SimReport, PmError> {
-        match self {
-            Workload::Mp3(labels) => run_mp3_sequence_traced(labels, config, seed, sink),
-            Workload::Mpeg(clip) => run_mpeg_clip_traced(clip, config, seed, sink),
-            Workload::Session => run_session_traced(config, seed, sink),
-        }
-    }
-
-    /// [`Self::run`] from pre-resolved shared resources
-    /// ([`crate::resolve::SharedResources`]) — same trace, same report,
-    /// zero threshold-cache traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_shared(
-        &self,
-        config: &SystemConfig,
-        seed: u64,
-        shared: &crate::resolve::SharedResources,
-    ) -> Result<SimReport, PmError> {
-        run_trace_shared(&self.build(seed)?, config, seed, shared)
-    }
-
-    /// [`Self::run_shared`], recording structured events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_traced_shared(
-        &self,
-        config: &SystemConfig,
-        seed: u64,
-        shared: &crate::resolve::SharedResources,
-        sink: &mut dyn TraceSink,
-    ) -> Result<SimReport, PmError> {
-        run_trace_traced_shared(&self.build(seed)?, config, seed, shared, sink)
-    }
-
-    /// The fully general run: optional event sink, optional streaming
-    /// assertion monitor. With both `None` this is exactly
-    /// [`Self::run_shared`] (the monomorphized untraced fast path);
-    /// with a monitor attached the report carries
-    /// [`SimReport::assertions`](crate::metrics::SimReport).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_observed(
-        &self,
-        config: &SystemConfig,
-        seed: u64,
-        shared: &crate::resolve::SharedResources,
-        sink: Option<&mut dyn TraceSink>,
-        monitor: Option<&mut trace::AssertionMonitor>,
-    ) -> Result<SimReport, PmError> {
-        run_trace_observed(&self.build(seed)?, config, seed, shared, sink, monitor)
     }
 }
 
@@ -169,227 +105,118 @@ impl fmt::Display for Workload {
     }
 }
 
-/// Generates the workload trace for one MP3 listening sequence
-/// (e.g. `"ACEFBD"`) exactly as [`run_mp3_sequence`] would.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip labels.
-pub fn build_mp3_sequence(labels: &str, seed: u64) -> Result<Trace, PmError> {
-    let mut rng = SimRng::seed_from(seed).fork("mp3-sequence");
-    Ok(mp3::sequence(labels, &mut rng)?)
+/// What a [`Run`] plays.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// A named workload, built at the run's seed by [`Workload::build`].
+    Workload(&'a Workload),
+    /// A prepared frame trace.
+    Trace(&'a Trace),
 }
 
-/// Generates the workload trace for one MPEG clip (`"football"` or
-/// `"terminator2"`) exactly as [`run_mpeg_clip`] would.
+/// One device run: an input played under a configuration at a seed,
+/// with optional pre-resolved resources, event sink and streaming
+/// assertion monitor. [`Run::execute`] is the only runner above the
+/// event kernel ([`SystemSimulator::run_counted`]).
 ///
-/// # Errors
+/// Neither attachment perturbs the simulation: the report's numbers are
+/// bit-identical with and without a sink or monitor, and
+/// [`SimReport::assertions`] is populated exactly when a monitor is
+/// attached. With neither, the run takes the untraced event-loop
+/// instantiation, which constructs no trace events at all.
 ///
-/// Returns an error for unknown clip names.
-pub fn build_mpeg_clip(name: &str, seed: u64) -> Result<Trace, PmError> {
-    let clip = match name {
-        "football" => MpegClip::football(),
-        "terminator2" => MpegClip::terminator2(),
-        _ => {
-            return Err(PmError::InvalidParameter {
-                name: "clip name (expected football|terminator2)",
-                value: f64::NAN,
-            })
-        }
-    };
-    let mut rng = SimRng::seed_from(seed).fork("mpeg-clip");
-    Ok(clip.generate(&mut rng))
+/// ```
+/// use powermgr::config::{GovernorKind, SystemConfig};
+/// use powermgr::scenario::{Run, Workload};
+///
+/// # fn main() -> Result<(), powermgr::PmError> {
+/// let config = SystemConfig {
+///     governor: GovernorKind::Ideal,
+///     ..SystemConfig::default()
+/// };
+/// let mut sink = trace::RingSink::new(1 << 16);
+/// let report = Run {
+///     sink: Some(&mut sink),
+///     ..Run::workload(&Workload::Mp3("A".into()), &config, 7)
+/// }
+/// .execute()?;
+/// assert_eq!(trace::replay(&sink.events()).frames_completed, report.frames_completed);
+/// # Ok(())
+/// # }
+/// ```
+pub struct Run<'a> {
+    /// The workload or trace to play.
+    pub input: Input<'a>,
+    /// The system configuration.
+    pub config: &'a SystemConfig,
+    /// Seeds the workload build and every stochastic element of the
+    /// simulation (wake-up latencies, randomized timeouts, faults).
+    pub seed: u64,
+    /// Pre-resolved resources (the fleet engine's cohort tables). `None`
+    /// resolves the threshold table through the process-wide threshold
+    /// cache; resources resolved from `config` give the same report.
+    pub shared: Option<&'a SharedResources>,
+    /// Receives every structured event of the run.
+    pub sink: Option<&'a mut dyn TraceSink>,
+    /// Checks the event stream online; its verdict lands in
+    /// [`SimReport::assertions`].
+    pub monitor: Option<&'a mut AssertionMonitor>,
 }
 
-/// Generates the canonical Table 5 mixed-session trace exactly as
-/// [`run_session`] would.
-///
-/// # Errors
-///
-/// Returns an error if session generation fails.
-pub fn build_session(seed: u64) -> Result<Trace, PmError> {
-    let mut rng = SimRng::seed_from(seed).fork("session");
-    let session = Session::table5(&mut rng);
-    Ok(session.generate(&mut rng)?)
-}
+impl<'a> Run<'a> {
+    /// A run of `workload` with no shared resources, sink or monitor.
+    #[must_use]
+    pub fn workload(workload: &'a Workload, config: &'a SystemConfig, seed: u64) -> Self {
+        Self::of(Input::Workload(workload), config, seed)
+    }
 
-/// Runs one MP3 listening sequence (e.g. `"ACEFBD"`) under `config`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip labels or invalid configuration.
-pub fn run_mp3_sequence(
-    labels: &str,
-    config: &SystemConfig,
-    seed: u64,
-) -> Result<SimReport, PmError> {
-    run_trace(&build_mp3_sequence(labels, seed)?, config, seed)
-}
+    /// A run of a prepared `trace` with no shared resources, sink or
+    /// monitor.
+    #[must_use]
+    pub fn trace(trace: &'a Trace, config: &'a SystemConfig, seed: u64) -> Self {
+        Self::of(Input::Trace(trace), config, seed)
+    }
 
-/// [`run_mp3_sequence`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip labels or invalid configuration.
-pub fn run_mp3_sequence_traced(
-    labels: &str,
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    run_trace_traced(&build_mp3_sequence(labels, seed)?, config, seed, sink)
-}
-
-/// Runs one MPEG clip (`"football"` or `"terminator2"`) under `config`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip names or invalid configuration.
-pub fn run_mpeg_clip(name: &str, config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-    run_trace(&build_mpeg_clip(name, seed)?, config, seed)
-}
-
-/// [`run_mpeg_clip`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip names or invalid configuration.
-pub fn run_mpeg_clip_traced(
-    name: &str,
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    run_trace_traced(&build_mpeg_clip(name, seed)?, config, seed, sink)
-}
-
-/// Runs the canonical Table 5 mixed session under `config`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_session(config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-    run_trace(&build_session(seed)?, config, seed)
-}
-
-/// [`run_session`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_session_traced(
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    run_trace_traced(&build_session(seed)?, config, seed, sink)
-}
-
-/// Runs an arbitrary prepared trace under `config`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace(trace: &Trace, config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-    SystemSimulator::new(trace, config.clone(), seed)?.run(trace.end())
-}
-
-/// [`run_trace`], additionally returning the number of events the
-/// simulation kernel processed — the denominator the hot-path
-/// throughput benchmark uses. The report is identical to
-/// [`run_trace`]'s; with no sink attached the run takes the
-/// monomorphized untraced fast path.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_counted(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-) -> Result<(SimReport, u64), PmError> {
-    SystemSimulator::new(trace, config.clone(), seed)?.run_counted(trace.end())
-}
-
-/// [`run_trace`] from pre-resolved shared resources — the fleet
-/// engine's cohort path. Bit-identical to [`run_trace`] when the
-/// resources were resolved from `config`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_shared(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    shared: &crate::resolve::SharedResources,
-) -> Result<SimReport, PmError> {
-    SystemSimulator::new_shared(trace, config.clone(), seed, shared)?.run(trace.end())
-}
-
-/// [`run_trace_shared`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_traced_shared(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    shared: &crate::resolve::SharedResources,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    SystemSimulator::new_traced_shared(trace, config.clone(), seed, shared, sink)?.run(trace.end())
-}
-
-/// [`run_trace_shared`] with an optional sink and an optional
-/// streaming [`trace::AssertionMonitor`] — the superset entry point the
-/// CLI and the fleet engine share. Neither attachment perturbs the
-/// simulation: the report's numbers are bit-identical across all four
-/// combinations, and `assertions` is populated exactly when a monitor
-/// is attached.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_observed(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    shared: &crate::resolve::SharedResources,
-    sink: Option<&mut dyn TraceSink>,
-    monitor: Option<&mut trace::AssertionMonitor>,
-) -> Result<SimReport, PmError> {
-    match (sink, monitor) {
-        (None, None) => run_trace_shared(trace, config, seed, shared),
-        (Some(sink), None) => run_trace_traced_shared(trace, config, seed, shared, sink),
-        (None, Some(monitor)) => {
-            let mut sim = SystemSimulator::new_shared(trace, config.clone(), seed, shared)?;
-            sim.attach_monitor(monitor);
-            sim.run(trace.end())
-        }
-        (Some(sink), Some(monitor)) => {
-            let mut sim =
-                SystemSimulator::new_traced_shared(trace, config.clone(), seed, shared, sink)?;
-            sim.attach_monitor(monitor);
-            sim.run(trace.end())
+    fn of(input: Input<'a>, config: &'a SystemConfig, seed: u64) -> Self {
+        Run {
+            input,
+            config,
+            seed,
+            shared: None,
+            sink: None,
+            monitor: None,
         }
     }
-}
 
-/// [`run_trace`], recording structured events into `sink`. The traced
-/// run is bit-identical to the untraced one in every reported number.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_traced(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    SystemSimulator::new_traced(trace, config.clone(), seed, sink)?.run(trace.end())
+    /// Plays the input to its end and returns the report.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for unknown clip labels, an invalid
+    /// configuration, or a simulator invariant violation.
+    pub fn execute(self) -> Result<SimReport, PmError> {
+        let built;
+        let trace = match self.input {
+            Input::Workload(workload) => {
+                built = workload.build(self.seed)?;
+                &built
+            }
+            Input::Trace(trace) => trace,
+        };
+        let unshared = SharedResources::default();
+        let shared = self.shared.unwrap_or(&unshared);
+        let config = self.config.clone();
+        let mut sim = match self.sink {
+            Some(sink) => {
+                SystemSimulator::new_traced_shared(trace, config, self.seed, shared, sink)?
+            }
+            None => SystemSimulator::new_shared(trace, config, self.seed, shared)?,
+        };
+        if let Some(monitor) = self.monitor {
+            sim.attach_monitor(monitor);
+        }
+        Ok(sim.run_counted(trace.end())?.0)
+    }
 }
 
 #[cfg(test)]
@@ -397,6 +224,8 @@ mod tests {
     use super::*;
     use crate::config::{DpmKind, GovernorKind};
     use dpm::policy::SleepState;
+    use simcore::json::ToJson;
+    use trace::{AssertionConfig, RingSink};
 
     fn cfg(governor: GovernorKind, dpm: DpmKind) -> SystemConfig {
         SystemConfig {
@@ -406,8 +235,13 @@ mod tests {
         }
     }
 
+    fn run(workload: &str, config: &SystemConfig, seed: u64) -> SimReport {
+        let workload = Workload::parse(workload).unwrap();
+        Run::workload(&workload, config, seed).execute().unwrap()
+    }
+
     #[test]
-    fn workload_parse_round_trips_and_runs_same_scenario() {
+    fn workload_parse_round_trips_and_runs_its_built_trace() {
         for s in ["mp3:ACE", "mpeg:football", "mpeg:terminator2", "session"] {
             let w = Workload::parse(s).unwrap();
             assert_eq!(w.to_string(), s);
@@ -415,18 +249,22 @@ mod tests {
         for bad in ["mp3:", "mpeg:matrix", "vhs:ghostbusters", ""] {
             assert!(Workload::parse(bad).is_err(), "{bad}");
         }
-        // Workload::run is the same code path as the free functions.
-        use simcore::json::ToJson;
+        // A workload input plays exactly the trace `build` returns.
         let config = cfg(GovernorKind::MaxPerformance, DpmKind::None);
-        let via_enum = Workload::parse("mp3:A").unwrap().run(&config, 5).unwrap();
-        let direct = run_mp3_sequence("A", &config, 5).unwrap();
-        assert_eq!(via_enum.to_json().dump(), direct.to_json().dump());
+        let workload = Workload::parse("mp3:A").unwrap();
+        let via_workload = Run::workload(&workload, &config, 5).execute().unwrap();
+        let built = workload.build(5).unwrap();
+        let via_trace = Run::trace(&built, &config, 5).execute().unwrap();
+        assert_eq!(via_workload.to_json().dump(), via_trace.to_json().dump());
     }
 
     #[test]
     fn mp3_sequence_runs_and_labels_match() {
-        let report =
-            run_mp3_sequence("AF", &cfg(GovernorKind::MaxPerformance, DpmKind::None), 11).unwrap();
+        let report = run(
+            "mp3:AF",
+            &cfg(GovernorKind::MaxPerformance, DpmKind::None),
+            11,
+        );
         assert_eq!(report.governor, "max");
         assert_eq!(report.dpm, "none");
         assert!(report.frames_completed > 1000);
@@ -434,92 +272,111 @@ mod tests {
 
     #[test]
     fn unknown_clip_is_rejected() {
-        assert!(run_mpeg_clip("matrix", &SystemConfig::default(), 0).is_err());
-        assert!(run_mp3_sequence("XYZ", &SystemConfig::default(), 0).is_err());
+        let config = SystemConfig::default();
+        for bad in [Workload::Mpeg("matrix".into()), Workload::Mp3("XYZ".into())] {
+            assert!(bad.build(0).is_err(), "{bad}");
+            assert!(Run::workload(&bad, &config, 0).execute().is_err(), "{bad}");
+        }
     }
 
+    /// Every combination of shared resources, sink and monitor, for
+    /// every governor kind: one report, a verdict exactly when a monitor
+    /// is attached, and the online verdict equal to an offline check of
+    /// the recorded events.
     #[test]
-    fn traced_scenario_matches_untraced() {
-        use simcore::json::ToJson;
-        let config = cfg(GovernorKind::Ideal, DpmKind::None);
-        let plain = run_mp3_sequence("A", &config, 19).unwrap();
-        let mut sink = trace::RingSink::new(1 << 16);
-        let traced = run_mp3_sequence_traced("A", &config, 19, &mut sink).unwrap();
-        assert_eq!(plain.to_json().dump(), traced.to_json().dump());
-        let summary = trace::replay(&sink.events());
-        assert_eq!(summary.frames_completed, traced.frames_completed);
-    }
-
-    #[test]
-    fn observed_run_matches_plain_run_and_attaches_assertions() {
-        use simcore::json::ToJson;
-        let config = cfg(GovernorKind::quick_change_point(), DpmKind::None);
-        let shared = crate::resolve::SharedResources::default();
+    fn run_is_identical_across_resources_sinks_and_monitors() {
+        let assert_config = AssertionConfig::paper();
         let workload = Workload::parse("mp3:AB").unwrap();
-        let plain = workload.run(&config, 7).unwrap();
-
-        // Neither attachment may perturb the simulation.
-        let assert_config = trace::AssertionConfig::paper();
-        let mut monitor = trace::AssertionMonitor::new(&assert_config).unwrap();
-        let mut sink = trace::RingSink::new(1 << 20);
-        let observed = workload
-            .run_observed(&config, 7, &shared, Some(&mut sink), Some(&mut monitor))
-            .unwrap();
-        let assertions = observed.assertions.expect("monitor attached");
-        let mut stripped = observed.clone();
-        stripped.assertions = None;
-        assert_eq!(plain.to_json().dump(), stripped.to_json().dump());
-
-        // Monitor-only (no sink) takes the same traced instantiation and
-        // reaches the same verdict.
-        let mut solo = trace::AssertionMonitor::new(&assert_config).unwrap();
-        let monitored = workload
-            .run_observed(&config, 7, &shared, None, Some(&mut solo))
-            .unwrap();
-        assert_eq!(
-            monitored.assertions.unwrap().to_json().dump(),
-            assertions.to_json().dump()
-        );
-
-        // Offline replay of the recorded trace agrees bit for bit.
-        let offline = trace::AssertionMonitor::check(&assert_config, &sink.events()).unwrap();
-        assert_eq!(sink.dropped(), 0, "ring must hold the full trace");
-        assert_eq!(offline.to_json().dump(), assertions.to_json().dump());
-        assert!(assertions.delay.unwrap().checked > 1000);
+        for governor in [
+            GovernorKind::Ideal,
+            GovernorKind::MaxPerformance,
+            GovernorKind::ExpAverage { gain: 0.05 },
+            GovernorKind::quick_change_point(),
+        ] {
+            let config = cfg(governor, DpmKind::None);
+            let resolved = SharedResources::resolve_governor(&config.governor).unwrap();
+            let (mut stripped_reports, mut verdicts) = (Vec::new(), Vec::new());
+            for shared in [Some(&resolved), None] {
+                for traced in [false, true] {
+                    for monitored in [false, true] {
+                        let case = format!(
+                            "{} shared={} sink={traced} monitor={monitored}",
+                            config.governor.label(),
+                            shared.is_some()
+                        );
+                        let mut sink = RingSink::new(1 << 20);
+                        let mut monitor = AssertionMonitor::new(&assert_config).unwrap();
+                        let report = Run {
+                            shared,
+                            sink: traced.then_some(&mut sink as &mut dyn TraceSink),
+                            monitor: monitored.then_some(&mut monitor),
+                            ..Run::workload(&workload, &config, 7)
+                        }
+                        .execute()
+                        .unwrap();
+                        assert_eq!(report.assertions.is_some(), monitored, "{case}");
+                        if traced {
+                            assert_eq!(sink.dropped(), 0, "ring must hold the full trace");
+                            let events = sink.events();
+                            let summary = trace::replay(&events);
+                            assert_eq!(summary.frames_completed, report.frames_completed);
+                            if let Some(online) = &report.assertions {
+                                let offline =
+                                    AssertionMonitor::check(&assert_config, &events).unwrap();
+                                assert_eq!(
+                                    offline.to_json().dump(),
+                                    online.to_json().dump(),
+                                    "{case}"
+                                );
+                            }
+                        }
+                        if let Some(online) = &report.assertions {
+                            assert!(online.delay.unwrap().checked > 1000, "{case}");
+                            verdicts.push((case.clone(), online.to_json().dump()));
+                        }
+                        let mut stripped = report;
+                        stripped.assertions = None;
+                        stripped_reports.push((case, stripped.to_json().dump()));
+                    }
+                }
+            }
+            for runs in [&stripped_reports, &verdicts] {
+                let (_, first) = &runs[0];
+                for (case, json) in runs {
+                    assert_eq!(json, first, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
     fn ideal_beats_max_on_mp3_sequence() {
-        let max =
-            run_mp3_sequence("AF", &cfg(GovernorKind::MaxPerformance, DpmKind::None), 12).unwrap();
-        let ideal = run_mp3_sequence("AF", &cfg(GovernorKind::Ideal, DpmKind::None), 12).unwrap();
+        let max = run(
+            "mp3:AF",
+            &cfg(GovernorKind::MaxPerformance, DpmKind::None),
+            12,
+        );
+        let ideal = run("mp3:AF", &cfg(GovernorKind::Ideal, DpmKind::None), 12);
         assert!(ideal.total_energy_j() < max.total_energy_j());
     }
 
     #[test]
     fn session_with_both_beats_either_alone() {
-        let neither = run_session(&cfg(GovernorKind::MaxPerformance, DpmKind::None), 13).unwrap();
-        let dvs_only = run_session(&cfg(GovernorKind::Ideal, DpmKind::None), 13).unwrap();
-        let dpm_only = run_session(
-            &cfg(
-                GovernorKind::MaxPerformance,
-                DpmKind::BreakEven {
-                    state: SleepState::Standby,
-                },
-            ),
+        let standby = DpmKind::BreakEven {
+            state: SleepState::Standby,
+        };
+        let neither = run(
+            "session",
+            &cfg(GovernorKind::MaxPerformance, DpmKind::None),
             13,
-        )
-        .unwrap();
-        let both = run_session(
-            &cfg(
-                GovernorKind::Ideal,
-                DpmKind::BreakEven {
-                    state: SleepState::Standby,
-                },
-            ),
+        );
+        let dvs_only = run("session", &cfg(GovernorKind::Ideal, DpmKind::None), 13);
+        let dpm_only = run(
+            "session",
+            &cfg(GovernorKind::MaxPerformance, standby.clone()),
             13,
-        )
-        .unwrap();
+        );
+        let both = run("session", &cfg(GovernorKind::Ideal, standby), 13);
         assert!(dvs_only.total_energy_j() < neither.total_energy_j());
         assert!(dpm_only.total_energy_j() < neither.total_energy_j());
         assert!(both.total_energy_j() < dvs_only.total_energy_j());

@@ -15,12 +15,13 @@
 //!   schedule takes over; an arriving frame wakes the system, paying the
 //!   component wake-up latency (uniformly distributed, per Section 2.1),
 //! * every mode interval is integrated into the per-component
-//!   [`EnergyMeter`](hardware::energy::EnergyMeter "hardware energy meter").
+//!   [`EnergyMeter`].
 
 use crate::config::SystemConfig;
 use crate::manager::PowerManager;
 use crate::metrics::{ModeKey, RobustnessReport, SimReport};
 use crate::power::PowerProfile;
+use crate::resolve::SharedResources;
 use crate::PmError;
 use dpm::costs::DpmCosts;
 use dpm::policy::SleepState;
@@ -266,24 +267,14 @@ pub struct SystemSimulator<'t> {
 impl<'t> SystemSimulator<'t> {
     /// Creates a simulator for `trace` under `config`, seeding all
     /// stochastic elements (wake-up latencies, randomized DPM timeouts)
-    /// from `seed`.
+    /// from `seed`. An empty `shared` ([`SharedResources::default`])
+    /// resolves the threshold table through the threshold cache;
+    /// resources resolved from `config` give the same report and random
+    /// streams with zero cache traffic.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if the power manager rejects the configuration.
-    pub fn new(trace: &'t Trace, config: SystemConfig, seed: u64) -> Result<Self, PmError> {
-        Self::new_shared(
-            trace,
-            config,
-            seed,
-            &crate::resolve::SharedResources::default(),
-        )
-    }
-
-    /// [`Self::new`] from pre-resolved shared resources
-    /// ([`crate::resolve::SharedResources`]) — the cohort-batch
-    /// constructor. Bit-identical to [`Self::new`] in every report and
-    /// random stream when the resources match the configuration.
+    /// Most callers want [`crate::scenario::Run`]; this constructor and
+    /// [`Self::run_counted`] are the kernel-level interface for code
+    /// that needs the event count.
     ///
     /// # Errors
     ///
@@ -292,13 +283,13 @@ impl<'t> SystemSimulator<'t> {
         trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
-        shared: &crate::resolve::SharedResources,
+        shared: &SharedResources,
     ) -> Result<Self, PmError> {
         let badge = SmartBadge::new();
         let costs = DpmCosts::managed_subsystem(&badge);
         // Neutral initial estimates: typical media rates; the governor
         // warm-up replaces them with data-driven values within 20 frames.
-        let manager = PowerManager::build_shared(&badge, &config, 25.0, 100.0, shared)?;
+        let manager = PowerManager::build(&badge, &config, 25.0, 100.0, shared)?;
         let profile = PowerProfile::uniform(&badge, PowerState::Idle);
         // Forking is independent of consumption, so adding the injector
         // stream does not perturb the clean-run event sequence.
@@ -357,27 +348,9 @@ impl<'t> SystemSimulator<'t> {
         })
     }
 
-    /// Creates a simulator that records structured [`TraceEvent`]s into
-    /// `sink` as it runs. Identical to [`SystemSimulator::new`] in every
-    /// other respect: the event sequence, report, and random streams of
-    /// a traced run match the untraced run bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the power manager rejects the configuration.
-    pub fn new_traced(
-        trace: &'t Trace,
-        config: SystemConfig,
-        seed: u64,
-        sink: &'t mut dyn TraceSink,
-    ) -> Result<Self, PmError> {
-        let mut sim = SystemSimulator::new(trace, config, seed)?;
-        sim.sink = Some(sink);
-        Ok(sim)
-    }
-
-    /// [`Self::new_traced`] from pre-resolved shared resources — see
-    /// [`Self::new_shared`].
+    /// [`Self::new_shared`], recording structured [`TraceEvent`]s into
+    /// `sink` as it runs. The event sequence, report, and random streams
+    /// of a traced run match the untraced run bit for bit.
     ///
     /// # Errors
     ///
@@ -386,7 +359,7 @@ impl<'t> SystemSimulator<'t> {
         trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
-        shared: &crate::resolve::SharedResources,
+        shared: &SharedResources,
         sink: &'t mut dyn TraceSink,
     ) -> Result<Self, PmError> {
         let mut sim = SystemSimulator::new_shared(trace, config, seed, shared)?;
@@ -437,10 +410,13 @@ impl<'t> SystemSimulator<'t> {
         });
     }
 
-    /// Runs the trace to completion and returns the report.
+    /// Runs the trace to completion and returns the report with the
+    /// number of events the kernel processed (pops of the main event
+    /// loop, stale sleep commands included) — the denominator
+    /// throughput benchmarks use.
     ///
-    /// Dispatches once on whether a sink is attached and runs a
-    /// monomorphized event loop either way: the untraced path (the
+    /// Dispatches once on whether a sink or monitor is attached and runs
+    /// a monomorphized event loop either way: the untraced path (the
     /// fleet default) has tracing compiled out entirely, so it
     /// constructs no [`TraceEvent`]s at all — not even discarded ones —
     /// while remaining bit-identical to the traced run in every
@@ -452,18 +428,6 @@ impl<'t> SystemSimulator<'t> {
     /// state that violates the simulator's invariants (a decode
     /// completion with no frame in flight, a decode start on an empty
     /// buffer).
-    pub fn run(self, trace_end: SimTime) -> Result<SimReport, PmError> {
-        self.run_counted(trace_end).map(|(report, _)| report)
-    }
-
-    /// [`Self::run`], additionally returning the number of events the
-    /// kernel processed (pops of the main event loop, stale sleep
-    /// commands included) — the denominator throughput benchmarks use.
-    /// The report is identical to [`Self::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run`].
     pub fn run_counted(self, trace_end: SimTime) -> Result<(SimReport, u64), PmError> {
         if self.sink.is_some() || self.monitor.is_some() {
             self.run_impl::<true>(trace_end)
@@ -994,11 +958,14 @@ mod tests {
     fn run(config: SystemConfig, seed: u64) -> SimReport {
         let mut rng = SimRng::seed_from(seed);
         let trace = Mp3Clip::table2()[0].generate(&mut rng);
-        let end = trace.end();
-        SystemSimulator::new(&trace, config, seed)
-            .unwrap()
-            .run(end)
-            .unwrap()
+        run_until(&trace, config, seed, trace.end())
+    }
+
+    /// Runs `trace` to `end`, which may lie past the last frame.
+    fn run_until(trace: &Trace, config: SystemConfig, seed: u64, end: SimTime) -> SimReport {
+        let shared = SharedResources::default();
+        let sim = SystemSimulator::new_shared(trace, config, seed, &shared).unwrap();
+        sim.run_counted(end).unwrap().0
     }
 
     fn max_config() -> SystemConfig {
@@ -1087,10 +1054,7 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        let report = SystemSimulator::new(&trace, config, 6)
-            .unwrap()
-            .run(end)
-            .unwrap();
+        let report = run_until(&trace, config, 6, end);
         assert!(report.mode_secs(ModeKey::Standby) > 100.0, "{report}");
         assert!(report.sleeps > 0);
     }
@@ -1102,11 +1066,8 @@ mod tests {
         let b = Mp3Clip::table2()[5].generate(&mut rng);
         let trace = workload::Trace::sequence(&[a, b], SimDuration::from_secs(60));
         let end = trace.end();
-        let no_dpm = SystemSimulator::new(&trace, max_config(), 7)
-            .unwrap()
-            .run(end)
-            .unwrap();
-        let with_dpm = SystemSimulator::new(
+        let no_dpm = run_until(&trace, max_config(), 7, end);
+        let with_dpm = run_until(
             &trace,
             SystemConfig {
                 governor: GovernorKind::MaxPerformance,
@@ -1116,10 +1077,8 @@ mod tests {
                 ..SystemConfig::default()
             },
             7,
-        )
-        .unwrap()
-        .run(end)
-        .unwrap();
+            end,
+        );
         assert!(with_dpm.total_energy_j() < no_dpm.total_energy_j());
         assert!(with_dpm.wakes >= 1);
     }
@@ -1325,14 +1284,12 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        let untraced = SystemSimulator::new(&clip, config.clone(), 21)
-            .unwrap()
-            .run(end)
-            .unwrap();
+        let untraced = run_until(&clip, config.clone(), 21, end);
         let mut sink = RingSink::new(1 << 16);
-        let traced = SystemSimulator::new_traced(&clip, config, 21, &mut sink)
+        let shared = SharedResources::default();
+        let (traced, _) = SystemSimulator::new_traced_shared(&clip, config, 21, &shared, &mut sink)
             .unwrap()
-            .run(end)
+            .run_counted(end)
             .unwrap();
         // Attaching a sink must not perturb the simulation at all.
         assert_eq!(untraced.to_json().dump(), traced.to_json().dump());

@@ -12,7 +12,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,8 +68,10 @@ fn full_run_allocations_do_not_scale_with_workload() {
     ];
     // Traces are pre-built: arrival generation is part of workload
     // construction, not of the measured run.
-    let short = scenario::build_mp3_sequence("A", 42).expect("golden labels");
-    let long = scenario::build_mp3_sequence("ABC", 42).expect("golden labels");
+    let short = Workload::Mp3("A".into()).build(42).expect("golden labels");
+    let long = Workload::Mp3("ABC".into())
+        .build(42)
+        .expect("golden labels");
     assert!(
         long.frames().len() > 2 * short.frames().len(),
         "the long trace must carry materially more events"
@@ -83,18 +85,20 @@ fn full_run_allocations_do_not_scale_with_workload() {
         };
 
         // Warm-up: first run pays any lazy one-time setup.
-        let warm = scenario::run_trace(&short, &config, 42).expect("warm run");
+        let warm = Run::trace(&short, &config, 42).execute().expect("warm run");
         assert!(warm.frames_completed > 0);
 
         let mut short_frames = 0;
         let n_short = count_allocs(|| {
-            let r = scenario::run_trace(&short, &config, 42).expect("short run");
+            let r = Run::trace(&short, &config, 42)
+                .execute()
+                .expect("short run");
             short_frames = r.frames_completed;
             std::hint::black_box(&r);
         });
         let mut long_frames = 0;
         let n_long = count_allocs(|| {
-            let r = scenario::run_trace(&long, &config, 42).expect("long run");
+            let r = Run::trace(&long, &config, 42).execute().expect("long run");
             long_frames = r.frames_completed;
             std::hint::black_box(&r);
         });

@@ -4,11 +4,20 @@
 use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::metrics::ModeKey;
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
+use powermgr::SimReport;
 use proptest::prelude::*;
 use simcore::rng::SimRng;
 use workload::schedule::RateSchedule;
 use workload::{Mp3Clip, MpegClip};
+
+/// Runs a named workload (`mp3:<labels>`, `mpeg:<clip>`, `session`).
+fn run(workload: &str, config: &SystemConfig, seed: u64) -> SimReport {
+    let workload = Workload::parse(workload).expect("known workload");
+    Run::workload(&workload, config, seed)
+        .execute()
+        .expect("runs")
+}
 
 fn base(governor: GovernorKind, dpm: DpmKind) -> SystemConfig {
     SystemConfig {
@@ -36,7 +45,7 @@ fn energy_within_physical_bounds() {
         ),
     ];
     for (i, config) in configs.into_iter().enumerate() {
-        let report = scenario::run_mp3_sequence("AD", &config, 100 + i as u64).expect("runs");
+        let report = run("mp3:AD", &config, 100 + i as u64);
         // Max possible: MPEG decode profile at top op (822 mW) the whole time;
         // MP3 peaks at 530 mW. Use the system-wide ceiling.
         let ceiling = 0.99 * report.duration_secs; // ~990 mW × duration
@@ -55,8 +64,8 @@ fn overload_boost_caps_backlog() {
         overload_boost_depth: Some(10),
         ..no_boost.clone()
     };
-    let plain = scenario::run_mpeg_clip("football", &no_boost, seed).expect("runs");
-    let capped = scenario::run_mpeg_clip("football", &boosted, seed).expect("runs");
+    let plain = run("mpeg:football", &no_boost, seed);
+    let capped = run("mpeg:football", &boosted, seed);
     assert!(
         capped.frame_delays.max() <= plain.frame_delays.max() + 1e-9,
         "boost must not worsen the delay tail: {:.3} vs {:.3}",
@@ -77,8 +86,9 @@ fn overload_degrades_gracefully() {
     let clip = MpegClip::new("overload", arrival, service);
     let mut rng = SimRng::seed_from(5);
     let trace = clip.generate(&mut rng);
-    let report =
-        scenario::run_trace(&trace, &base(GovernorKind::Ideal, DpmKind::None), 5).expect("runs");
+    let report = Run::trace(&trace, &base(GovernorKind::Ideal, DpmKind::None), 5)
+        .execute()
+        .expect("runs");
     assert_eq!(report.frames_completed, trace.frames().len() as u64);
     // The queue builds up: mean delay far exceeds the 0.1 s target.
     assert!(report.mean_frame_delay_s() > 0.5, "{report}");
@@ -94,16 +104,17 @@ fn overload_degrades_gracefully() {
 fn empty_trace_is_pure_idle() {
     let trace = workload::Trace::new(vec![], simcore::time::SimTime::from_secs_f64(100.0))
         .expect("empty is valid");
-    let report = scenario::run_trace(
+    let report = Run::trace(
         &trace,
         &base(GovernorKind::MaxPerformance, DpmKind::None),
         1,
     )
+    .execute()
     .expect("runs");
     assert_eq!(report.frames_completed, 0);
     // 100 s of idle at 202 mW.
     assert!((report.total_energy_j() - 20.2).abs() < 0.5, "{report}");
-    let with_dpm = scenario::run_trace(
+    let with_dpm = Run::trace(
         &trace,
         &base(
             GovernorKind::MaxPerformance,
@@ -113,6 +124,7 @@ fn empty_trace_is_pure_idle() {
         ),
         1,
     )
+    .execute()
     .expect("runs");
     assert!(with_dpm.total_energy_j() < 1.0, "{with_dpm}");
 }
@@ -134,7 +146,7 @@ fn wake_path_costs_latency_and_is_accounted() {
             state: SleepState::Standby,
         },
     );
-    let report = scenario::run_trace(&trace, &config, 77).expect("runs");
+    let report = Run::trace(&trace, &config, 77).execute().expect("runs");
     assert!(report.wakes >= 1, "{report}");
     assert!(report.mode_secs(ModeKey::Waking) > 0.0, "{report}");
     // Nominal standby wake is 10 ms (uniform 5-15 ms per wake).
@@ -144,11 +156,12 @@ fn wake_path_costs_latency_and_is_accounted() {
         "mean wake latency {per_wake}s should be ~10 ms"
     );
     // The no-DPM run never wakes.
-    let no_dpm = scenario::run_trace(
+    let no_dpm = Run::trace(
         &trace,
         &base(GovernorKind::MaxPerformance, DpmKind::None),
         77,
     )
+    .execute()
     .expect("runs");
     assert_eq!(no_dpm.wakes, 0);
     assert_eq!(no_dpm.mode_secs(ModeKey::Waking), 0.0);
@@ -167,7 +180,7 @@ proptest! {
         let config = base(GovernorKind::Ideal, DpmKind::None);
         let mut rng = SimRng::seed_from(seed);
         let trace = Mp3Clip::table2()[clip].generate(&mut rng);
-        let report = scenario::run_trace(&trace, &config, seed).expect("runs");
+        let report = Run::trace(&trace, &config, seed).execute().expect("runs");
         prop_assert_eq!(report.frame_delays.count(), report.frames_completed);
         prop_assert!(report.frame_delays.min() >= 0.0);
         prop_assert!(report.frame_delays.min() <= report.mean_frame_delay_s());

@@ -1,4 +1,4 @@
-//! Process-wide cache of calibrated threshold tables.
+//! Cache of calibrated threshold tables.
 //!
 //! Offline Monte-Carlo calibration dominates the startup cost of every
 //! [`ChangePointDetector`](crate::ChangePointDetector). Experiment
@@ -7,9 +7,14 @@
 //! calibration: the result is a pure function of the calibration
 //! configuration, the candidate-ratio grid, and the calibration seed.
 //!
-//! This module memoizes that function process-wide. Tables are shared as
+//! A [`ThresholdCache`] memoizes that function. Tables are shared as
 //! [`Arc`]s, so a thousand detectors constructed from one configuration
-//! perform one calibration and share one allocation.
+//! perform one calibration and share one allocation. The cache and its
+//! hit/miss statistics are an owned value; detector construction
+//! ([`crate::ChangePointConfig::resolve_table`]) goes through one
+//! process-wide instance, whose statistics [`cache_stats_detailed`]
+//! reports. Tests and embedders that need isolated counters build
+//! their own instance.
 //!
 //! # Locking
 //!
@@ -83,20 +88,6 @@ const SHARD_COUNT: usize = 16;
 /// One shard: a plain map from key to its calibration entry.
 type Shard = Mutex<HashMap<CacheKey, Arc<Entry>>>;
 
-static SHARDS: OnceLock<Vec<Shard>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static HIT_NANOS: AtomicU64 = AtomicU64::new(0);
-static MISS_NANOS: AtomicU64 = AtomicU64::new(0);
-
-fn shards() -> &'static [Shard] {
-    SHARDS.get_or_init(|| {
-        (0..SHARD_COUNT)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect()
-    })
-}
-
 /// Stable shard selector. `DefaultHasher::new()` is deterministic (the
 /// per-`HashMap` random state lives in `RandomState`, not here), so a
 /// key maps to the same shard for the lifetime of the process.
@@ -114,69 +105,97 @@ fn relock<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Returns the calibrated table for `(ratios, config, seed)`, calibrating
-/// at most once per distinct key for the lifetime of the process.
-///
-/// Misses on **distinct keys proceed concurrently**: a lookup holds its
-/// shard's lock only to fetch-or-insert the key's entry, then calibrates
-/// under that entry's own lock. Concurrent requests for the **same** key
-/// never duplicate the Monte-Carlo work — the second requester blocks on
-/// the entry until the first finishes, counts a hit, and receives the
-/// shared [`Arc`]. (Calibration also parallelizes internally via `jobs`.)
-///
-/// # Errors
-///
-/// Propagates any [`ThresholdTable::calibrate_jobs`] error; failed
-/// calibrations are not cached — the key's entry stays empty and the
-/// next lookup calibrates again.
-pub fn cached_table(
-    ratios: &[f64],
-    config: CalibrationConfig,
-    seed: u64,
-    jobs: Jobs,
-) -> Result<Arc<ThresholdTable>, DetectError> {
-    let started = std::time::Instant::now();
-    let key = CacheKey::new(ratios, config, seed);
-    let entry = {
-        let mut map = relock(&shards()[shard_of(&key)]);
-        Arc::clone(map.entry(key).or_default())
-    };
-    // Shard lock released: from here on, only same-key traffic contends.
-    let mut slot = relock(&entry.table);
-    if let Some(table) = slot.as_ref() {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        HIT_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        return Ok(Arc::clone(table));
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let mut rng = SimRng::seed_from(seed);
-    let table = Arc::new(ThresholdTable::calibrate_jobs(
-        ratios, config, &mut rng, jobs,
-    )?);
-    *slot = Some(Arc::clone(&table));
-    MISS_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    Ok(table)
+/// A sharded map of calibrated threshold tables with its own hit, miss
+/// and latency counters. `ThresholdCache::default()` is empty, with
+/// zeroed counters.
+#[derive(Default)]
+pub struct ThresholdCache {
+    shards: [Shard; SHARD_COUNT],
+    hits: AtomicU64,
+    misses: AtomicU64,
+    hit_nanos: AtomicU64,
+    miss_nanos: AtomicU64,
 }
 
-/// Lifetime cache statistics as `(hits, misses)` — a hit returned a
-/// previously calibrated table, a miss ran a fresh calibration.
-#[must_use]
-pub fn cache_stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+impl ThresholdCache {
+    /// Returns the calibrated table for `(ratios, config, seed)`,
+    /// calibrating at most once per distinct key for the lifetime of
+    /// this cache.
+    ///
+    /// Misses on **distinct keys proceed concurrently**: a lookup holds
+    /// its shard's lock only to fetch-or-insert the key's entry, then
+    /// calibrates under that entry's own lock. Concurrent requests for
+    /// the **same** key never duplicate the Monte-Carlo work — the second
+    /// requester blocks on the entry until the first finishes, counts a
+    /// hit, and receives the shared [`Arc`]. (Calibration also
+    /// parallelizes internally via `jobs`.)
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`ThresholdTable::calibrate_jobs`] error; failed
+    /// calibrations are not cached — the key's entry stays empty and the
+    /// next lookup calibrates again.
+    pub fn table(
+        &self,
+        ratios: &[f64],
+        config: CalibrationConfig,
+        seed: u64,
+        jobs: Jobs,
+    ) -> Result<Arc<ThresholdTable>, DetectError> {
+        let started = std::time::Instant::now();
+        let key = CacheKey::new(ratios, config, seed);
+        let entry = {
+            let mut map = relock(&self.shards[shard_of(&key)]);
+            Arc::clone(map.entry(key).or_default())
+        };
+        // Shard lock released: from here on, only same-key traffic contends.
+        let mut slot = relock(&entry.table);
+        if let Some(table) = slot.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hit_nanos
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            return Ok(Arc::clone(table));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut rng = SimRng::seed_from(seed);
+        let table = Arc::new(ThresholdTable::calibrate_jobs(
+            ratios, config, &mut rng, jobs,
+        )?);
+        *slot = Some(Arc::clone(&table));
+        self.miss_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        Ok(table)
+    }
+
+    /// Lifetime statistics of this cache. Successful misses accumulate
+    /// `miss_nanos`; failed calibrations count as misses but record no
+    /// latency (they abort before the table is built).
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            hit_nanos: self.hit_nanos.load(Ordering::Relaxed),
+            miss_nanos: self.miss_nanos.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Drops every cached table (already-shared [`Arc`]s stay alive in
+    /// their holders; an in-flight calibration completes into its
+    /// orphaned entry and is simply recalibrated on the next lookup).
+    /// Statistics are preserved.
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            relock(shard).clear();
+        }
+    }
 }
 
-/// Fraction of lifetime lookups served from the cache, in `[0, 1]`;
-/// `0.0` before any lookup. Two atomic loads — cheap enough to call
-/// from a bench inner loop or a log line.
-#[must_use]
-pub fn hit_ratio() -> f64 {
-    let (hits, misses) = cache_stats();
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
+/// The process-wide cache every detector construction resolves its
+/// table through.
+pub(crate) fn global() -> &'static ThresholdCache {
+    static GLOBAL: OnceLock<ThresholdCache> = OnceLock::new();
+    GLOBAL.get_or_init(ThresholdCache::default)
 }
 
 /// Lifetime threshold-cache statistics, including cumulative latency.
@@ -222,28 +241,11 @@ impl CacheStats {
     }
 }
 
-/// Lifetime cache statistics with per-path latency — the profiling
-/// companion to [`cache_stats`]. Successful misses accumulate
-/// `miss_nanos`; failed calibrations count as misses but record no
-/// latency (they abort before the table is built).
+/// Lifetime statistics of the process-wide cache that detector
+/// construction resolves through.
 #[must_use]
 pub fn cache_stats_detailed() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        hit_nanos: HIT_NANOS.load(Ordering::Relaxed),
-        miss_nanos: MISS_NANOS.load(Ordering::Relaxed),
-    }
-}
-
-/// Drops every cached table (already-shared [`Arc`]s stay alive in their
-/// holders; an in-flight calibration completes into its orphaned entry
-/// and is simply recalibrated on the next lookup). Statistics are
-/// preserved. Primarily for tests and memory-sensitive embedders.
-pub fn clear() {
-    for shard in shards() {
-        relock(shard).clear();
-    }
+    global().stats()
 }
 
 #[cfg(test)]
@@ -261,52 +263,72 @@ mod tests {
         }
     }
 
+    /// `(hits, misses)` of a private cache.
+    fn counts(cache: &ThresholdCache) -> (u64, u64) {
+        let stats = cache.stats();
+        (stats.hits, stats.misses)
+    }
+
     #[test]
     fn repeated_lookups_share_one_table() {
-        // Distinct seed so other tests cannot pre-populate this key.
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E001;
-        let (_, m0) = cache_stats();
-        let a = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let (h1, m1) = cache_stats();
-        assert_eq!(m1, m0 + 1, "first lookup must calibrate");
-        let b = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let (h2, _) = cache_stats();
-        assert!(h2 > h1.saturating_sub(1), "second lookup must hit");
+        let a = cache
+            .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        assert_eq!(counts(&cache), (0, 1), "first lookup must calibrate");
+        let b = cache
+            .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        assert_eq!(counts(&cache), (1, 1), "second lookup must hit");
         assert!(Arc::ptr_eq(&a, &b), "hits share the same allocation");
     }
 
     #[test]
     fn stats_delta_isolates_a_region_of_work() {
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E010;
-        let before = cache_stats_detailed();
-        let _ = cached_table(&[2.0, 4.0], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let _ = cached_table(&[2.0, 4.0], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let delta = cache_stats_detailed().since(&before);
-        // Other tests may run concurrently, so the delta is a lower
-        // bound on global counters but exact for this key's first use.
-        assert!(delta.misses >= 1, "first lookup calibrated");
-        assert!(delta.hits >= 1, "second lookup hit");
-        assert!(delta.hit_ratio() > 0.0);
+        let _ = cache.table(&[2.0], quick_config(), seed, Jobs::Count(1));
+        let before = cache.stats();
+        let _ = cache
+            .table(&[2.0, 4.0], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        let _ = cache
+            .table(&[2.0, 4.0], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        let delta = cache.stats().since(&before);
+        assert_eq!((delta.hits, delta.misses), (1, 1));
+        assert_eq!(delta.hit_ratio(), 0.5);
         // Reversed snapshots saturate to zero instead of wrapping.
-        let zero = before.since(&cache_stats_detailed());
+        let zero = before.since(&cache.stats());
         assert_eq!((zero.hits, zero.misses), (0, 0));
     }
 
     #[test]
     fn distinct_keys_do_not_collide() {
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E002;
-        let a = cached_table(&[2.0], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let b = cached_table(&[3.0], quick_config(), seed, Jobs::Count(1)).unwrap();
+        let a = cache
+            .table(&[2.0], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        let b = cache
+            .table(&[3.0], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_ne!(a.ratios(), b.ratios());
-        let c = cached_table(&[2.0], quick_config(), seed + 1, Jobs::Count(1)).unwrap();
+        let c = cache
+            .table(&[2.0], quick_config(), seed + 1, Jobs::Count(1))
+            .unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "seed is part of the key");
+        assert_eq!(counts(&cache), (0, 3));
     }
 
     #[test]
     fn cached_table_matches_direct_calibration() {
         let seed = 0xCAC4_E003;
-        let cached = cached_table(&[2.0], quick_config(), seed, Jobs::Count(1)).unwrap();
+        let cached = ThresholdCache::default()
+            .table(&[2.0], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
         let direct = ThresholdTable::calibrate_jobs(
             &[2.0],
             quick_config(),
@@ -319,58 +341,63 @@ mod tests {
 
     #[test]
     fn detailed_stats_track_latency_per_path() {
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E005;
-        let before = cache_stats_detailed();
-        let _ = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let after_miss = cache_stats_detailed();
-        // Other tests run concurrently against the same global counters,
-        // so assert monotone lower bounds rather than exact deltas.
-        assert!(after_miss.misses > before.misses);
+        let _ = cache
+            .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        let after_miss = cache.stats();
+        assert_eq!((after_miss.hits, after_miss.misses), (0, 1));
+        assert_eq!(after_miss.hit_nanos, 0);
         assert!(
-            after_miss.miss_nanos > before.miss_nanos,
+            after_miss.miss_nanos > 0,
             "a calibration takes measurable time"
         );
-        let _ = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let after_hit = cache_stats_detailed();
-        assert!(after_hit.hits > after_miss.hits);
-        assert!(after_hit.hit_nanos >= after_miss.hit_nanos);
-        let (hits, misses) = cache_stats();
-        assert!(hits >= after_hit.hits.saturating_sub(1));
-        assert!(misses >= after_hit.misses.saturating_sub(1));
+        let _ = cache
+            .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        let after_hit = cache.stats();
+        assert_eq!((after_hit.hits, after_hit.misses), (1, 1));
+        assert_eq!(after_hit.miss_nanos, after_miss.miss_nanos);
     }
 
     #[test]
     fn hit_ratio_reflects_traffic() {
+        let cache = ThresholdCache::default();
+        assert_eq!(cache.stats().hit_ratio(), 0.0, "no lookups yet");
         let seed = 0xCAC4_E006;
-        let _ = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let _ = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let global = hit_ratio();
-        assert!((0.0..=1.0).contains(&global));
-        let stats = cache_stats_detailed();
-        assert!(stats.hits >= 1, "second lookup above must have hit");
-        assert!(stats.hit_ratio() > 0.0);
-        assert!(stats.hit_ratio() <= 1.0);
-        let empty = CacheStats {
-            hits: 0,
-            misses: 0,
-            hit_nanos: 0,
-            miss_nanos: 0,
-        };
-        assert_eq!(empty.hit_ratio(), 0.0);
+        for _ in 0..4 {
+            let _ = cache
+                .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+                .unwrap();
+        }
+        assert_eq!(cache.stats().hit_ratio(), 0.75);
     }
 
     #[test]
     fn failed_calibrations_are_not_cached() {
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E004;
-        assert!(cached_table(&[], quick_config(), seed, Jobs::Count(1)).is_err());
-        let (_, m0) = cache_stats();
-        assert!(cached_table(&[], quick_config(), seed, Jobs::Count(1)).is_err());
-        let (_, m1) = cache_stats();
+        assert!(cache
+            .table(&[], quick_config(), seed, Jobs::Count(1))
+            .is_err());
+        let (_, m0) = counts(&cache);
+        assert!(cache
+            .table(&[], quick_config(), seed, Jobs::Count(1))
+            .is_err());
+        let (_, m1) = counts(&cache);
         assert_eq!(m1, m0 + 1, "errors keep missing, never poison the map");
+        assert_eq!(
+            cache.stats().miss_nanos,
+            0,
+            "failed misses record no latency"
+        );
         // A failed key must also recover: the same key with valid ratios
         // is a different key, but the failed entry itself must not block
         // a third attempt.
-        assert!(cached_table(&[], quick_config(), seed, Jobs::Count(1)).is_err());
+        assert!(cache
+            .table(&[], quick_config(), seed, Jobs::Count(1))
+            .is_err());
     }
 
     /// The regression test for the head-of-line bug this module used to
@@ -380,7 +407,7 @@ mod tests {
     /// (B) start together; B must finish while A is still running.
     #[test]
     fn concurrent_misses_on_distinct_keys_overlap() {
-        // Unique seeds so neither key can be pre-populated.
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E020;
         // A must stay busy far longer than the sleep below plus B's
         // quick calibration, or `a_done` flips before B returns and the
@@ -399,14 +426,18 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 barrier.wait();
-                let _ = cached_table(&[2.0], long_config, seed, Jobs::Count(1)).unwrap();
+                let _ = cache
+                    .table(&[2.0], long_config, seed, Jobs::Count(1))
+                    .unwrap();
                 a_done.store(true, Ordering::SeqCst);
             });
             barrier.wait();
             // Give A time to enter its calibration (it holds only its
             // own entry's lock once inside).
             std::thread::sleep(std::time::Duration::from_millis(10));
-            let _ = cached_table(&[2.0], short_config, seed, Jobs::Count(1)).unwrap();
+            let _ = cache
+                .table(&[2.0], short_config, seed, Jobs::Count(1))
+                .unwrap();
             assert!(
                 !a_done.load(Ordering::SeqCst),
                 "short calibration (B) waited for the long one (A) to finish — \
@@ -419,38 +450,58 @@ mod tests {
     /// one calibration runs, everyone shares its allocation.
     #[test]
     fn concurrent_same_key_misses_calibrate_once() {
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E021;
-        let (_, m0) = cache_stats();
         let barrier = Barrier::new(4);
         let tables: Vec<Arc<ThresholdTable>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap()
+                        cache
+                            .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+                            .unwrap()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let (_, m1) = cache_stats();
-        assert_eq!(m1, m0 + 1, "same key must calibrate exactly once");
+        assert_eq!(
+            counts(&cache),
+            (3, 1),
+            "same key must calibrate exactly once"
+        );
         assert!(tables.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
     }
 
     #[test]
     fn clear_preserves_stats_and_recalibrates() {
+        let cache = ThresholdCache::default();
         let seed = 0xCAC4_E022;
-        let a = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let (_, m0) = cache_stats();
-        clear();
-        let (h1, m1) = cache_stats();
+        let a = cache
+            .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        let (_, m0) = counts(&cache);
+        cache.clear();
+        let (_, m1) = counts(&cache);
         assert_eq!(m0, m1, "clear preserves statistics");
-        let b = cached_table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1)).unwrap();
-        let (_, m2) = cache_stats();
+        let b = cache
+            .table(&[2.0, 0.5], quick_config(), seed, Jobs::Count(1))
+            .unwrap();
+        let (_, m2) = counts(&cache);
         assert_eq!(m2, m1 + 1, "cleared key calibrates again");
         assert!(!Arc::ptr_eq(&a, &b), "fresh allocation after clear");
         assert_eq!(*a, *b, "recalibration is deterministic");
-        let _ = h1;
+    }
+
+    #[test]
+    fn the_process_wide_instance_backs_the_detailed_stats() {
+        let before = cache_stats_detailed();
+        let _ = global()
+            .table(&[2.0, 0.25], quick_config(), 0xCAC4_E030, Jobs::Count(1))
+            .unwrap();
+        // Other tests share the process-wide instance, so only a lower
+        // bound is certain here: this key is unique, so it missed.
+        assert!(cache_stats_detailed().since(&before).misses >= 1);
     }
 }

@@ -199,9 +199,7 @@ impl ThresholdTable {
     /// [`Self::calibrate_jobs`] with span profiling: enables the
     /// parallel engine's worker profiling around the calibration and
     /// returns a [`CalibrationProfile`] — the recorded [`ParSpan`]s
-    /// (per-worker wall time and item counts) plus the threshold-cache
-    /// hit/miss counts observed while the calibration ran — alongside
-    /// the table.
+    /// (per-worker wall time and item counts) — alongside the table.
     ///
     /// Profiling is a process-global switch; spans recorded by other
     /// concurrently profiled loops may appear in the result, and any
@@ -221,21 +219,10 @@ impl ThresholdTable {
         let was_enabled = simcore::par::profiling_enabled();
         simcore::par::set_profiling(true);
         let _ = simcore::par::take_spans();
-        let (hits_before, misses_before) = crate::cache::cache_stats();
         let result = Self::calibrate_jobs(ratios, config, rng, jobs);
-        let (hits_after, misses_after) = crate::cache::cache_stats();
         let spans = simcore::par::take_spans();
         simcore::par::set_profiling(was_enabled);
-        result.map(|table| {
-            (
-                table,
-                CalibrationProfile {
-                    spans,
-                    cache_hits: hits_after - hits_before,
-                    cache_misses: misses_after - misses_before,
-                },
-            )
-        })
+        result.map(|table| (table, CalibrationProfile { spans }))
     }
 
     /// The calibration configuration this table was built with.
@@ -298,13 +285,6 @@ pub struct CalibrationProfile {
     /// Parallel-engine spans recorded while the calibration ran
     /// (per-worker wall time and item counts).
     pub spans: Vec<ParSpan>,
-    /// Threshold-cache hits observed process-wide during the
-    /// calibration — lets a bench attribute wins to the cache versus
-    /// the Monte-Carlo kernel itself.
-    pub cache_hits: u64,
-    /// Threshold-cache misses observed process-wide during the
-    /// calibration.
-    pub cache_misses: u64,
 }
 
 thread_local! {
@@ -503,22 +483,6 @@ mod tests {
         let a = trial_statistic(2.0, other, root.fork_indexed("resize", 0));
         let b = reference_trial_statistic(2.0, other, root.fork_indexed("resize", 0));
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn profiled_calibration_reports_cache_traffic() {
-        let config = quick_config();
-        let (_, profile) = ThresholdTable::calibrate_profiled(
-            &[0.5, 2.0],
-            config,
-            &mut SimRng::seed_from(12),
-            Jobs::Count(1),
-        )
-        .unwrap();
-        // Direct calibration bypasses the cache; concurrent tests may
-        // add traffic, so only sanity-bound the deltas.
-        assert!(profile.cache_hits <= 1_000_000);
-        assert!(profile.cache_misses <= 1_000_000);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! post-change tail of the window (maximum likelihood), and restarts with
 //! those samples.
 
+use crate::cache::ThresholdCache;
 use crate::calibrate::{default_ratios, CalibrationConfig, ThresholdTable};
 use crate::estimator::{DetectionStat, RateChange, RateEstimator};
 use crate::likelihood::RatioKernel;
@@ -54,10 +55,10 @@ impl Default for ChangePointConfig {
 
 impl ChangePointConfig {
     /// Resolves this configuration's calibrated threshold table through
-    /// the process-wide [`crate::cache`] — exactly the lookup
-    /// [`ChangePointDetector::new`] performs, exposed so batch harnesses
-    /// (the fleet engine's cohort stepping) can resolve once per cohort
-    /// and construct every detector via
+    /// the process-wide threshold cache ([`crate::cache`]) — exactly the
+    /// lookup [`ChangePointDetector::new`] performs, exposed so batch
+    /// harnesses (the fleet engine's cohort stepping) can resolve once
+    /// per cohort and construct every detector via
     /// [`ChangePointDetector::with_shared_table`] with zero cache
     /// traffic. The returned table is bit-identical to the one `new`
     /// would use.
@@ -66,13 +67,18 @@ impl ChangePointConfig {
     ///
     /// Propagates any calibration error.
     pub fn resolve_table(&self) -> Result<Arc<ThresholdTable>, DetectError> {
+        self.resolve_table_in(crate::cache::global())
+    }
+
+    /// [`Self::resolve_table`] through a given cache.
+    fn resolve_table_in(&self, cache: &ThresholdCache) -> Result<Arc<ThresholdTable>, DetectError> {
         let calibration = CalibrationConfig {
             window: self.window,
             k_step: self.k_step,
             confidence: self.confidence,
             trials: self.calibration_trials,
         };
-        crate::cache::cached_table(
+        cache.table(
             &self.ratios,
             calibration,
             self.calibration_seed,
@@ -135,23 +141,6 @@ impl ChangePointDetector {
     pub fn new(initial_rate: f64, config: ChangePointConfig) -> Result<Self, DetectError> {
         let table = config.resolve_table()?;
         Self::with_shared_table(initial_rate, table, config.check_interval)
-    }
-
-    /// Creates a detector reusing an existing threshold table —
-    /// calibration is the expensive part, so experiment harnesses
-    /// calibrate once and clone. Prefer [`Self::with_shared_table`] to
-    /// avoid copying the table.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the initial rate or `check_interval` is
-    /// invalid.
-    pub fn with_table(
-        initial_rate: f64,
-        table: ThresholdTable,
-        check_interval: usize,
-    ) -> Result<Self, DetectError> {
-        Self::with_shared_table(initial_rate, Arc::new(table), check_interval)
     }
 
     /// Creates a detector sharing an [`Arc`]-held threshold table —
@@ -450,8 +439,8 @@ mod tests {
     #[test]
     fn shared_table_reuse() {
         let det = ChangePointDetector::new(10.0, quick_config()).unwrap();
-        let table = det.table().clone();
-        let det2 = ChangePointDetector::with_table(20.0, table, 5).unwrap();
+        let table = Arc::new(det.table().clone());
+        let det2 = ChangePointDetector::with_shared_table(20.0, table, 5).unwrap();
         assert_eq!(det2.current_rate(), 20.0);
         // Zero-copy sharing through the Arc handle.
         let det3 = ChangePointDetector::with_shared_table(30.0, det.shared_table(), 5).unwrap();
@@ -460,19 +449,27 @@ mod tests {
 
     #[test]
     fn identically_configured_detectors_hit_the_threshold_cache() {
-        // A config distinct from every other test's, so the first
-        // construction here is the calibrating one.
-        let config = ChangePointConfig {
-            calibration_seed: 0xCAC4_E100,
-            ..quick_config()
-        };
-        let a = ChangePointDetector::new(10.0, config.clone()).unwrap();
-        let (h0, m0) = crate::cache::cache_stats();
-        let b = ChangePointDetector::new(99.0, config).unwrap();
-        let (h1, m1) = crate::cache::cache_stats();
-        assert_eq!(m1, m0, "second construction must not recalibrate");
-        assert!(h1 > h0, "second construction must hit the cache");
-        assert!(std::ptr::eq(a.table(), b.table()), "one shared table");
+        // A private cache, so no concurrent test can move its counters.
+        let cache = ThresholdCache::default();
+        let config = quick_config();
+        let a = config.resolve_table_in(&cache).unwrap();
+        let (h0, m0) = (cache.stats().hits, cache.stats().misses);
+        let b = config.resolve_table_in(&cache).unwrap();
+        let (h1, m1) = (cache.stats().hits, cache.stats().misses);
+        assert_eq!(m1, m0, "second resolution must not recalibrate");
+        assert_eq!(h1, h0 + 1, "second resolution must hit the cache");
+        assert!(Arc::ptr_eq(&a, &b), "one shared table");
+        // Detector construction resolves through the process-wide cache
+        // by the same key: it gets that cache's one table, equal to the
+        // private cache's.
+        let c = ChangePointDetector::new(10.0, config.clone()).unwrap();
+        let d = ChangePointDetector::new(99.0, config.clone()).unwrap();
+        assert!(std::ptr::eq(c.table(), d.table()), "one shared table");
+        assert!(Arc::ptr_eq(
+            &c.shared_table(),
+            &config.resolve_table().unwrap()
+        ));
+        assert_eq!(*c.table(), *a);
     }
 
     /// The oracle for [`ChangePointDetector::strongest_change`]: one
@@ -518,7 +515,7 @@ mod tests {
                 simcore::par::Jobs::Count(1),
             )
             .unwrap();
-            let mut det = ChangePointDetector::with_table(10.0, table, 1).unwrap();
+            let mut det = ChangePointDetector::with_shared_table(10.0, Arc::new(table), 1).unwrap();
             let (mut compared, mut detected) = (0, 0);
             let mut check = |det: &mut ChangePointDetector| {
                 let oracle = bits(per_ratio_scan(det));

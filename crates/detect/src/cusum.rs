@@ -1,7 +1,7 @@
 //! Two-sided CUSUM detector (ablation comparator).
 //!
 //! The paper's change-point test descends from "cumulative sum techniques
-//! in ATM traffic management" (ref [17]). A classical two-sided CUSUM is
+//! in ATM traffic management" (ref \[17\]). A classical two-sided CUSUM is
 //! the streaming cousin of the windowed maximum-likelihood test: it keeps
 //! a pair of cumulative log-likelihood-ratio scores (one for "rate went
 //! up", one for "rate went down") that reset at zero, and alarms when a

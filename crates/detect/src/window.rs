@@ -14,7 +14,7 @@
 //! detector, so its layout is flat: one `Box<[f64]>` for the samples and
 //! one for the running prefix sums, addressed through a `head`/`len`
 //! ring. This replaces an earlier two-`VecDeque` layout (retained
-//! verbatim in [`reference`] for differential tests and benchmarks)
+//! verbatim in [`reference`](mod@reference) for differential tests and benchmarks)
 //! while reproducing its arithmetic **bit for bit**: the prefix-sum
 //! values and the subtraction order in [`SampleWindow::suffix_sum`] are
 //! identical, only the storage changed. Construction is the only
@@ -320,7 +320,7 @@ impl ScratchWindow {
 pub mod reference {
     //! The pre-optimization two-`VecDeque` window, retained verbatim.
     //!
-    //! This is the exact seed-era implementation [`SampleWindow`]
+    //! This is the exact seed-era implementation [`SampleWindow`](super::SampleWindow)
     //! replaced. It exists for two jobs: the differential property test
     //! that drives both windows through random operation sequences and
     //! asserts bit-equal results, and `bench_hotpath`, which measures

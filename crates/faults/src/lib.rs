@@ -22,7 +22,7 @@
 //! A [`FaultSpec`] bundles the models plus optional deterministic
 //! [activity windows](FaultSpec::windows); [`FaultPlan::new`] validates it
 //! once; [`FaultInjector`] executes it against forked
-//! [`SimRng`](simcore::rng::SimRng) streams, so the same `(seed, spec)`
+//! [`SimRng`] streams, so the same `(seed, spec)`
 //! pair always produces the same fault schedule and adding one model does
 //! not perturb the others.
 //!

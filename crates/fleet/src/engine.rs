@@ -10,8 +10,9 @@
 //!   other device or on scheduling. Retry attempts draw from their own
 //!   indexed forks ([`FleetSpec::retry_seed`]), so even a retried
 //!   device is a pure function of its index.
-//! * Devices are mapped with [`par_try_fold_range_batched`], which
-//!   folds results in strictly ascending index order on the calling
+//! * Devices are mapped with
+//!   [`par_try_fold_range_batched`](simcore::par::par_try_fold_range_batched),
+//!   which folds results in strictly ascending index order on the calling
 //!   thread — the report is byte-identical at any `jobs` count, while
 //!   memory stays bounded by one batch of `SimReport`s rather than the
 //!   fleet.
@@ -21,14 +22,14 @@
 //!   [`OnError`] policy. Only infrastructure errors (trace or
 //!   checkpoint I/O) abort the run.
 //! * Change-point calibration is resolved **once per policy** before
-//!   the loop starts ([`crate::soa::CohortResources::prepare`]) and the
+//!   the loop starts ([`crate::cohort::CohortResources::prepare`]) and the
 //!   shared table handed to every device construction, so the
 //!   per-device hot path performs zero threshold-cache traffic. The
 //!   calibration itself (bit-identical at any thread count) still goes
 //!   through the process-wide [`detect::cache`], so distinct runs in
 //!   one process share tables too.
 //! * Within a batch, devices are *scheduled* in cohort order
-//!   ([`crate::soa::cohort_key`] via `par_try_fold_range_batched_by`):
+//!   ([`crate::cohort::cohort_key`] via `par_try_fold_range_batched_by`):
 //!   identical-config devices step back-to-back on one worker while
 //!   results still land (and fold) in device order.
 
@@ -39,6 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use powermgr::config::{SupervisorConfig, SystemConfig};
+use powermgr::scenario::Run;
 use powermgr::{PmError, SharedResources};
 use simcore::json::ToJson;
 use simcore::par::{par_try_fold_range_batched_by, Jobs};
@@ -46,8 +48,8 @@ use trace::{FleetEvent, JsonlSink, TraceSink};
 
 use crate::accum::FleetAccumulator;
 use crate::checkpoint;
+use crate::cohort::{self, CohortResources};
 use crate::report::{DeviceAssertions, DeviceFailure, DeviceOutcome, DeviceRecord, FleetReport};
-use crate::soa::{self, CohortResources};
 use crate::spec::{DeviceAssignment, FleetSpec, OnError};
 use crate::FleetError;
 
@@ -92,29 +94,6 @@ pub struct RunOptions {
 /// `fail_fast` policy.
 pub fn run_fleet(spec: &FleetSpec, jobs: Jobs) -> Result<FleetReport, FleetError> {
     run_fleet_opts(spec, jobs, &RunOptions::default())
-}
-
-/// [`run_fleet`], optionally streaming traces under `trace_dir`:
-/// `device_NNNNN.jsonl` per device (full simulator event stream) plus
-/// `fleet.jsonl` of fleet-level [`FleetEvent`]s.
-///
-/// # Errors
-///
-/// As [`run_fleet`], plus [`FleetError::Io`] when the trace directory
-/// or a trace file cannot be written.
-pub fn run_fleet_with(
-    spec: &FleetSpec,
-    jobs: Jobs,
-    trace_dir: Option<&Path>,
-) -> Result<FleetReport, FleetError> {
-    run_fleet_opts(
-        spec,
-        jobs,
-        &RunOptions {
-            trace_dir: trace_dir.map(Path::to_path_buf),
-            ..RunOptions::default()
-        },
-    )
 }
 
 /// The full-featured entry point: traces, checkpoints, and resume.
@@ -189,7 +168,7 @@ pub fn run_fleet_opts(
             jobs,
             start..spec.devices,
             batch,
-            |i| soa::cohort_key(spec, i),
+            |i| cohort::cohort_key(spec, i),
             |i| supervised_run(spec, i, trace_dir, &cohorts),
             resumed,
             |mut acc: FleetAccumulator, _i, result| {
@@ -263,7 +242,7 @@ pub fn run_fleet_opts(
 /// This is the *per-device reference path*: no cohort pre-resolution,
 /// every construction goes through the threshold cache itself. The
 /// engine's cohort path is held byte-equal to it by
-/// `tests/soa_differential.rs`.
+/// `tests/cohort_differential.rs`.
 ///
 /// # Errors
 ///
@@ -396,11 +375,13 @@ fn run_attempt(
         ),
     };
 
+    let run = Run {
+        shared: Some(shared),
+        monitor: monitor.as_mut(),
+        ..Run::workload(a.workload, &config, seed)
+    };
     let report = match trace_dir {
-        None => a
-            .workload
-            .run_observed(&config, seed, shared, None, monitor.as_mut())
-            .map_err(sim_err)?,
+        None => run.execute().map_err(sim_err)?,
         Some(dir) => {
             // Stage the trace at a temp path and rename only on
             // success: an interrupted or failed attempt never leaves a
@@ -413,10 +394,12 @@ fn run_attempt(
             };
             let file = fs::File::create(&tmp).map_err(|e| io_err("cannot create", &tmp, e))?;
             let mut sink = JsonlSink::new(BufWriter::new(file));
-            let report = a
-                .workload
-                .run_observed(&config, seed, shared, Some(&mut sink), monitor.as_mut())
-                .map_err(sim_err)?;
+            let report = Run {
+                sink: Some(&mut sink),
+                ..run
+            }
+            .execute()
+            .map_err(sim_err)?;
             sink.finish().map_err(|e| {
                 AttemptError::Fatal(FleetError::Io(format!(
                     "trace write to {} failed: {e}",
@@ -459,7 +442,7 @@ fn run_attempt(
         energy_kj: report.total_energy_kj(),
         mean_delay_s: report.mean_frame_delay_s(),
         drop_rate,
-        detection_latency_frames: soa::probe_detection_latency(&config.governor, seed, shared)
+        detection_latency_frames: cohort::probe_detection_latency(&config.governor, seed, shared)
             .map_err(AttemptError::Contained)?,
         frames_completed: report.frames_completed,
         duration_secs: report.duration_secs,

@@ -49,18 +49,18 @@ use std::fmt;
 
 pub mod accum;
 pub mod checkpoint;
+pub mod cohort;
 pub mod engine;
 pub mod report;
-pub mod soa;
 pub mod spec;
 
 pub use accum::{FleetAccumulator, MetricAcc, RECORD_SAMPLE_CAP, SKETCH_CAPACITY};
-pub use engine::{run_device, run_fleet, run_fleet_opts, run_fleet_with, RunOptions};
+pub use cohort::{cohort_key, probe_detection_latency, CohortResources};
+pub use engine::{run_device, run_fleet, run_fleet_opts, RunOptions};
 pub use report::{
     CohortHealth, CohortSummary, DeviceAssertions, DeviceFailure, DeviceOutcome, DeviceRecord,
     FailureSample, FleetHealth, FleetReport, MetricSummary, SloSummary,
 };
-pub use soa::{cohort_key, probe_detection_latency, CohortResources};
 pub use spec::{DeviceAssignment, FleetSpec, OnError, PolicySpec};
 
 /// Errors from parsing a fleet spec or running a fleet.

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use fleet::{run_fleet, run_fleet_with, FleetError, FleetSpec};
+use fleet::{run_fleet, run_fleet_opts, FleetError, FleetSpec, RunOptions};
 use simcore::json::ToJson;
 use simcore::par::Jobs;
 
@@ -110,7 +110,15 @@ fn trace_dir_gets_per_device_and_fleet_logs() {
     let dir = std::env::temp_dir().join(format!("fleet_trace_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = spec(3);
-    let report = run_fleet_with(&spec, Jobs::Count(2), Some(&dir)).expect("fleet runs");
+    let report = run_fleet_opts(
+        &spec,
+        Jobs::Count(2),
+        &RunOptions {
+            trace_dir: Some(dir.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .expect("fleet runs");
     for i in 0..3 {
         let path = dir.join(format!("device_{i:05}.jsonl"));
         let text = std::fs::read_to_string(&path).expect("device trace exists");

@@ -17,7 +17,7 @@
 //! * [`MetricsRegistry`] — named counters/gauges/time-weighted series
 //!   the simulator's report is assembled from, with residency kept in
 //!   integer nanoseconds so trace replay reconstructs it bit-exactly;
-//! * [`replay`] — rebuilds the run aggregates from a parsed event
+//! * [`replay()`] — rebuilds the run aggregates from a parsed event
 //!   stream alone (the `tracecat` CLI's engine).
 //!
 //! The crate depends only on `simcore` (the workspace builds offline).

@@ -10,8 +10,7 @@
 //! threading) — exactly the bug class this suite exists to catch.
 
 use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
-use powermgr::scenario::Workload;
-use powermgr::SharedResources;
+use powermgr::scenario::{Run, Workload};
 use simcore::json::ToJson;
 use trace::{
     AssertionConfig, AssertionMonitor, AssertionReport, DelayBound, OccupancyBound,
@@ -69,12 +68,15 @@ fn one_case(
     assertions: &AssertionConfig,
 ) -> AssertionReport {
     let config = config_for(governor, preset, seed);
-    let shared = SharedResources::default();
     let mut sink = RingSink::new(RING_CAPACITY);
     let mut monitor = AssertionMonitor::new(assertions).expect("valid config");
-    let report = workload
-        .run_observed(&config, seed, &shared, Some(&mut sink), Some(&mut monitor))
-        .expect("monitored run succeeds");
+    let report = Run {
+        sink: Some(&mut sink),
+        monitor: Some(&mut monitor),
+        ..Run::workload(workload, &config, seed)
+    }
+    .execute()
+    .expect("monitored run succeeds");
     assert_eq!(sink.dropped(), 0, "ring too small for the full trace");
 
     let online = report.assertions.expect("monitor attached");

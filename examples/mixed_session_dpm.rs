@@ -8,7 +8,7 @@ use hardware::battery::Battery;
 use hardware::dcdc::DcDcConverter;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::metrics::ModeKey;
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("mixed audio/video session with user-absence gaps (Table 5 workload)\n");
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dpm,
             ..SystemConfig::default()
         };
-        let report = scenario::run_session(&config, 555)?;
+        let report = Run::workload(&Workload::Session, &config, 555).execute()?;
         let energy = report.total_energy_j();
         let base = *baseline.get_or_insert(energy);
         // Battery life if the subsystem kept this average draw all day.

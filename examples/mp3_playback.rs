@@ -7,13 +7,14 @@
 //! Run with: `cargo run --release --example mp3_playback -- BADECF`
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sequence = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "ACEFBD".to_owned());
     println!("MP3 playback sequence {sequence} (653 s of audio when all six clips are used)\n");
+    let workload = Workload::Mp3(sequence);
 
     let governors = [
         ("ideal (oracle)", GovernorKind::Ideal),
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dpm: DpmKind::None,
             ..SystemConfig::default()
         };
-        let report = scenario::run_mp3_sequence(&sequence, &config, 2001)?;
+        let report = Run::workload(&workload, &config, 2001).execute()?;
         println!(
             "{:<19} {:>11.1} {:>11.1} {:>10} {:>13}",
             name,
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dpm: DpmKind::None,
         ..SystemConfig::default()
     };
-    let cp = scenario::run_mp3_sequence(&sequence, &config, 2001)?;
+    let cp = Run::workload(&workload, &config, 2001).execute()?;
     if let Some(max_energy) = baseline {
         println!(
             "\nchange-point DVS uses {:.0}% of the max-frequency energy",

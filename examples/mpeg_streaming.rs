@@ -10,7 +10,7 @@
 use detect::changepoint::{ChangePointConfig, ChangePointDetector};
 use detect::estimator::RateEstimator;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 use simcore::rng::SimRng;
 use workload::MpegClip;
 
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dpm: DpmKind::None,
         ..SystemConfig::default()
     };
-    let report = scenario::run_mpeg_clip("football", &config, 99)?;
+    let report = Run::workload(&Workload::Mpeg("football".into()), &config, 99).execute()?;
     println!("\nfull-system run under change-point DVS:\n{report}");
     Ok(())
 }

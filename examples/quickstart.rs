@@ -2,7 +2,8 @@
 //!
 //! 1. Detect a rate change with the maximum-likelihood change-point test.
 //! 2. Turn rates into a frequency/voltage operating point (DVS).
-//! 3. Run a full clip through the system simulator and read the report.
+//! 3. Run a full clip through the system simulator and read the report,
+//!    then rerun it with the paper's invariants checked online.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -10,9 +11,10 @@ use detect::changepoint::{ChangePointConfig, ChangePointDetector};
 use detect::estimator::RateEstimator;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::dvs::DvsPolicy;
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 use simcore::dist::{Exponential, Sample};
 use simcore::rng::SimRng;
+use trace::{AssertionConfig, AssertionMonitor};
 use workload::MediaKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,8 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         governor: GovernorKind::MaxPerformance,
         ..paper.clone()
     };
-    let with_dvs = scenario::run_mp3_sequence("ACE", &paper, 7)?;
-    let without = scenario::run_mp3_sequence("ACE", &baseline, 7)?;
+    let ace = Workload::Mp3("ACE".into());
+    let with_dvs = Run::workload(&ace, &paper, 7).execute()?;
+    let without = Run::workload(&ace, &baseline, 7).execute()?;
     println!("\nchange-point DVS: {with_dvs}");
     println!("\nmax frequency   : {without}");
     println!(
@@ -65,5 +68,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * (1.0 - with_dvs.total_energy_j() / without.total_energy_j()),
         with_dvs.mean_frame_delay_s() * 1e3
     );
+
+    // The same run with the paper's invariants checked online: the
+    // numbers are identical and the report gains an `assertions` verdict.
+    let mut monitor = AssertionMonitor::new(&AssertionConfig::paper())?;
+    let checked = Run {
+        monitor: Some(&mut monitor),
+        ..Run::workload(&ace, &paper, 7)
+    }
+    .execute()?;
+    assert_eq!(checked.total_energy_j(), with_dvs.total_energy_j());
+    if let Some(verdict) = &checked.assertions {
+        println!(
+            "
+online invariant check: {verdict}"
+        );
+    }
     Ok(())
 }

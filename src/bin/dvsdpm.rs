@@ -28,7 +28,7 @@
 use faults::FaultPreset;
 use fleet::FleetSpec;
 use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
-use powermgr::scenario::Workload;
+use powermgr::scenario::{Run, Workload};
 use powermgr::SimReport;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -245,39 +245,30 @@ fn execute(run: &RunArgs) -> Result<SimReport, String> {
                 .map_err(|e| format!("invalid assertion config: {e}"))?,
         ),
     };
-    let report = match &run.trace {
-        None => match monitor.as_mut() {
-            None => run.workload.run(&config, run.seed),
-            // Monitor without a sink: the observed path attaches it and
-            // the report grows an `assertions` verdict.
-            Some(monitor) => run.workload.run_observed(
-                &config,
-                run.seed,
-                &powermgr::SharedResources::default(),
-                None,
-                Some(monitor),
-            ),
-        },
+    let mut sink: Option<Box<dyn TraceSink>> = match &run.trace {
+        None => None,
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
             let jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-            let mut sink: Box<dyn TraceSink> = match run.trace_filter {
+            Some(match run.trace_filter {
                 Some(keep) => Box::new(FilteredSink::new(jsonl, keep)),
                 None => Box::new(jsonl),
-            };
-            let report = run.workload.run_observed(
-                &config,
-                run.seed,
-                &powermgr::SharedResources::default(),
-                Some(sink.as_mut()),
-                monitor.as_mut(),
-            );
-            sink.finish()
-                .map_err(|e| format!("trace write to {path} failed: {e}"))?;
-            report
+            })
         }
     };
+    let report = Run {
+        // The cast lets the boxed sink's `'static` bound shorten to the
+        // run's borrow.
+        sink: sink.as_mut().map(|s| s.as_mut() as &mut dyn TraceSink),
+        monitor: monitor.as_mut(),
+        ..Run::workload(&run.workload, &config, run.seed)
+    }
+    .execute();
+    if let (Some(mut sink), Some(path)) = (sink, &run.trace) {
+        sink.finish()
+            .map_err(|e| format!("trace write to {path} failed: {e}"))?;
+    }
     report.map_err(|e| e.to_string())
 }
 

@@ -12,7 +12,7 @@
 //!
 //! ```
 //! use dvs_dpm::powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-//! use dvs_dpm::powermgr::scenario;
+//! use dvs_dpm::powermgr::scenario::{Run, Workload};
 //!
 //! # fn main() -> Result<(), dvs_dpm::powermgr::PmError> {
 //! let config = SystemConfig {
@@ -20,7 +20,7 @@
 //!     dpm: DpmKind::None,
 //!     ..SystemConfig::default()
 //! };
-//! let report = scenario::run_mp3_sequence("ACE", &config, 1)?;
+//! let report = Run::workload(&Workload::Mp3("ACE".into()), &config, 1).execute()?;
 //! assert!(report.total_energy_j() > 0.0);
 //! # Ok(())
 //! # }

@@ -3,10 +3,19 @@
 //! full-system simulation.
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
+use powermgr::SimReport;
 use simcore::rng::SimRng;
 use workload::session::Session;
 use workload::{mp3, MpegClip};
+
+/// Runs a named workload (`mp3:<labels>`, `mpeg:<clip>`, `session`).
+fn run(workload: &str, config: &SystemConfig, seed: u64) -> SimReport {
+    let workload = Workload::parse(workload).expect("known workload");
+    Run::workload(&workload, config, seed)
+        .execute()
+        .expect("runs")
+}
 
 #[test]
 fn workload_generation_is_seed_deterministic() {
@@ -39,8 +48,8 @@ fn full_simulation_is_bit_reproducible() {
         dpm: DpmKind::Tismdp { delay_weight: 2.0 },
         ..SystemConfig::default()
     };
-    let a = scenario::run_mp3_sequence("CEDAFB", &config, 77).expect("runs");
-    let b = scenario::run_mp3_sequence("CEDAFB", &config, 77).expect("runs");
+    let a = run("mp3:CEDAFB", &config, 77);
+    let b = run("mp3:CEDAFB", &config, 77);
     assert_eq!(a.total_energy_j(), b.total_energy_j());
     assert_eq!(a.mean_frame_delay_s(), b.mean_frame_delay_s());
     assert_eq!(a.freq_switches, b.freq_switches);
@@ -80,8 +89,8 @@ fn fault_injected_simulation_is_bit_reproducible() {
         buffer_capacity: Some(64),
         ..SystemConfig::default()
     };
-    let a = scenario::run_mp3_sequence("CEDAFB", &config, 78).expect("runs");
-    let b = scenario::run_mp3_sequence("CEDAFB", &config, 78).expect("runs");
+    let a = run("mp3:CEDAFB", &config, 78);
+    let b = run("mp3:CEDAFB", &config, 78);
     // Byte-identical serialized reports, robustness counters included.
     assert_eq!(a.to_json().dump(), b.to_json().dump());
     assert!(!a.robustness.is_quiet(), "{:?}", a.robustness);
@@ -102,8 +111,8 @@ fn fault_injection_leaves_clean_runs_untouched() {
         faults: Some(FaultSpec::default()),
         ..clean.clone()
     };
-    let a = scenario::run_mp3_sequence("CEDAFB", &clean, 79).expect("runs");
-    let b = scenario::run_mp3_sequence("CEDAFB", &wired, 79).expect("runs");
+    let a = run("mp3:CEDAFB", &clean, 79);
+    let b = run("mp3:CEDAFB", &wired, 79);
     assert_eq!(a.total_energy_j(), b.total_energy_j());
     assert_eq!(a.mean_frame_delay_s(), b.mean_frame_delay_s());
     assert_eq!(a.freq_switches, b.freq_switches);
@@ -125,8 +134,8 @@ fn different_seeds_change_stochastic_outcomes() {
         dpm: DpmKind::None,
         ..SystemConfig::default()
     };
-    let a = scenario::run_mp3_sequence("AF", &config, 1).expect("runs");
-    let b = scenario::run_mp3_sequence("AF", &config, 2).expect("runs");
+    let a = run("mp3:AF", &config, 1);
+    let b = run("mp3:AF", &config, 2);
     assert_ne!(a.total_energy_j(), b.total_energy_j());
 }
 
@@ -174,9 +183,9 @@ fn simulation_report_is_bit_identical_across_job_counts() {
         ..SystemConfig::default()
     };
     set_default_jobs(1);
-    let a = scenario::run_mp3_sequence("A", &config, 17).expect("runs");
+    let a = run("mp3:A", &config, 17);
     set_default_jobs(4);
-    let b = scenario::run_mp3_sequence("A", &config, 17).expect("runs");
+    let b = run("mp3:A", &config, 17);
     set_default_jobs(0);
     assert_eq!(a.to_json().dump(), b.to_json().dump());
 }
@@ -197,7 +206,12 @@ fn traced_run_is_byte_identical_across_job_counts() {
     let traced_bytes = |jobs: usize| {
         set_default_jobs(jobs);
         let mut sink = JsonlSink::new(Vec::new());
-        let report = scenario::run_mp3_sequence_traced("A", &config, 18, &mut sink).expect("runs");
+        let report = Run {
+            sink: Some(&mut sink),
+            ..Run::workload(&Workload::Mp3("A".into()), &config, 18)
+        }
+        .execute()
+        .expect("runs");
         sink.finish().expect("in-memory write");
         (sink.into_inner(), report)
     };

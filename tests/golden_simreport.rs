@@ -11,7 +11,7 @@
 
 use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 use simcore::json::ToJson;
 use simcore::par::set_default_jobs;
 use trace::{NullSink, RingSink};
@@ -34,7 +34,9 @@ fn golden_json() -> String {
 
 #[test]
 fn simreport_matches_pre_rewrite_golden_bytes() {
-    let report = scenario::run_mp3_sequence("AB", &golden_config(), 42).unwrap();
+    let report = Run::workload(&Workload::Mp3("AB".into()), &golden_config(), 42)
+        .execute()
+        .unwrap();
     assert_eq!(
         report.to_json().dump(),
         golden_json(),
@@ -47,7 +49,12 @@ fn traced_simreport_matches_golden_bytes() {
     // Tracing must not perturb the run: a null sink and a recording
     // sink both produce the identical report bytes.
     let mut null = NullSink;
-    let report = scenario::run_mp3_sequence_traced("AB", &golden_config(), 42, &mut null).unwrap();
+    let report = Run {
+        sink: Some(&mut null),
+        ..Run::workload(&Workload::Mp3("AB".into()), &golden_config(), 42)
+    }
+    .execute()
+    .unwrap();
     assert_eq!(
         report.to_json().dump(),
         golden_json(),
@@ -55,7 +62,12 @@ fn traced_simreport_matches_golden_bytes() {
     );
 
     let mut ring = RingSink::new(4096);
-    let report = scenario::run_mp3_sequence_traced("AB", &golden_config(), 42, &mut ring).unwrap();
+    let report = Run {
+        sink: Some(&mut ring),
+        ..Run::workload(&Workload::Mp3("AB".into()), &golden_config(), 42)
+    }
+    .execute()
+    .unwrap();
     assert_eq!(
         report.to_json().dump(),
         golden_json(),
@@ -70,7 +82,9 @@ fn simreport_matches_golden_at_any_calibration_thread_count() {
     // at the process-default job count; the report must not depend on it.
     for jobs in [1usize, 2, 4] {
         set_default_jobs(jobs);
-        let report = scenario::run_mp3_sequence("AB", &golden_config(), 42).unwrap();
+        let report = Run::workload(&Workload::Mp3("AB".into()), &golden_config(), 42)
+            .execute()
+            .unwrap();
         assert_eq!(
             report.to_json().dump(),
             golden_json(),

@@ -181,7 +181,7 @@ proptest! {
         let mut rng = SimRng::seed_from(seed);
         let trace = workload::Mp3Clip::table2()[(seed % 6) as usize].generate(&mut rng);
         let n = trace.frames().len() as u64;
-        let report = powermgr::scenario::run_trace(&trace, &config, seed).expect("runs");
+        let report = powermgr::scenario::Run::trace(&trace, &config, seed).execute().expect("runs");
         prop_assert_eq!(report.frames_completed, n);
         prop_assert!(report.total_energy_j() > 0.0);
         let mode_total: f64 = powermgr::metrics::ModeKey::ALL

@@ -11,13 +11,18 @@
 //! 3. filtering keeps the stream parseable and the kept kinds intact.
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Run, Workload};
 use simcore::json::ToJson;
 use trace::{parse_jsonl, replay, EventKind, FilteredSink, JsonlSink, KindSet, TraceSink};
 
 fn traced_jsonl(config: &SystemConfig, seed: u64) -> (String, powermgr::SimReport) {
     let mut sink = JsonlSink::new(Vec::new());
-    let report = scenario::run_mp3_sequence_traced("AB", config, seed, &mut sink).expect("runs");
+    let report = Run {
+        sink: Some(&mut sink),
+        ..Run::workload(&Workload::Mp3("AB".into()), config, seed)
+    }
+    .execute()
+    .expect("runs");
     sink.finish().expect("in-memory write");
     (String::from_utf8(sink.into_inner()).expect("utf8"), report)
 }
@@ -31,7 +36,9 @@ fn traced_jsonl_replays_to_the_exact_report() {
         },
         ..SystemConfig::default()
     };
-    let untraced = scenario::run_mp3_sequence("AB", &config, 101).expect("runs");
+    let untraced = Run::workload(&Workload::Mp3("AB".into()), &config, 101)
+        .execute()
+        .expect("runs");
     let (text, traced) = traced_jsonl(&config, 101);
     assert_eq!(
         untraced.to_json().dump(),
@@ -113,7 +120,12 @@ fn filtered_stream_keeps_only_requested_kinds() {
     };
     let keep = KindSet::parse("freq,sleep").expect("valid kinds");
     let mut sink = FilteredSink::new(JsonlSink::new(Vec::new()), keep);
-    let report = scenario::run_mp3_sequence_traced("AB", &config, 101, &mut sink).expect("runs");
+    let report = Run {
+        sink: Some(&mut sink),
+        ..Run::workload(&Workload::Mp3("AB".into()), &config, 101)
+    }
+    .execute()
+    .expect("runs");
     sink.finish().expect("in-memory write");
     let text = String::from_utf8(sink.into_inner().into_inner()).expect("utf8");
     let events = parse_jsonl(&text).expect("valid JSONL");
