@@ -10,7 +10,7 @@ use dpm::policy::{DpmPolicy, SleepState};
 use dpm::predictive::PredictiveShutdown;
 use dpm::renewal::{RenewalConfig, RenewalPolicy};
 use dpm::timeout::{AdaptiveTimeout, FixedTimeout};
-use dpm::tismdp::{TismdpConfig, TismdpPolicy};
+use dpm::tismdp::{TismdpConfig, TismdpPlan, TismdpPolicy};
 use dpm::NoSleep;
 use simcore::time::SimDuration;
 
@@ -220,6 +220,9 @@ impl DpmKind {
         costs: &DpmCosts,
         idle_model: &IdleMixture,
     ) -> Result<Box<dyn DpmPolicy>, PmError> {
+        if let Some(solved) = self.solve(costs, idle_model)? {
+            return Ok(solved.boxed());
+        }
         Ok(match self {
             DpmKind::None => Box::new(NoSleep::new()),
             DpmKind::FixedTimeout { timeout_s, state } => Box::new(FixedTimeout::new(
@@ -236,25 +239,71 @@ impl DpmKind {
             DpmKind::Predictive { state, gain } => {
                 Box::new(PredictiveShutdown::new(costs, *state, *gain)?)
             }
+            DpmKind::Renewal { .. } | DpmKind::Tismdp { .. } => {
+                unreachable!("solved above")
+            }
+        })
+    }
+
+    /// Solves the policies whose construction is an optimization
+    /// (renewal and TISMDP, milliseconds each); `None` for the others,
+    /// which cost microseconds to build. A solved policy is immutable,
+    /// so one solve serves any number of devices.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the policy parameters are invalid for these
+    /// costs.
+    pub(crate) fn solve(
+        &self,
+        costs: &DpmCosts,
+        idle_model: &IdleMixture,
+    ) -> Result<Option<SolvedDpm>, PmError> {
+        Ok(match self {
             DpmKind::Renewal {
                 state,
                 delay_budget_s,
-            } => Box::new(RenewalPolicy::solve(
+            } => Some(SolvedDpm::Renewal(RenewalPolicy::solve(
                 costs,
                 idle_model,
                 *state,
                 *delay_budget_s,
                 RenewalConfig::default(),
-            )?),
-            DpmKind::Tismdp { delay_weight } => Box::new(TismdpPolicy::solve(
-                costs,
-                idle_model,
-                TismdpConfig {
-                    delay_weight: *delay_weight,
-                    ..TismdpConfig::default()
-                },
-            )?),
+            )?)),
+            DpmKind::Tismdp { delay_weight } => Some(SolvedDpm::Tismdp(
+                TismdpPolicy::solve(
+                    costs,
+                    idle_model,
+                    TismdpConfig {
+                        delay_weight: *delay_weight,
+                        ..TismdpConfig::default()
+                    },
+                )?
+                .device_policy(),
+            )),
+            DpmKind::None
+            | DpmKind::FixedTimeout { .. }
+            | DpmKind::BreakEven { .. }
+            | DpmKind::Adaptive { .. }
+            | DpmKind::Predictive { .. } => None,
         })
+    }
+}
+
+/// A solved DPM policy ([`DpmKind::solve`]), copied into each device.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum SolvedDpm {
+    Renewal(RenewalPolicy),
+    Tismdp(TismdpPlan),
+}
+
+impl SolvedDpm {
+    /// A device's own copy.
+    pub(crate) fn boxed(self) -> Box<dyn DpmPolicy> {
+        match self {
+            SolvedDpm::Renewal(p) => Box::new(p),
+            SolvedDpm::Tismdp(p) => Box::new(p),
+        }
     }
 }
 

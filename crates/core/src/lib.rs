@@ -53,6 +53,7 @@
 //! # }
 //! ```
 
+mod agenda;
 pub mod config;
 pub mod dvs;
 pub mod governor;

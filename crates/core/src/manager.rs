@@ -148,7 +148,7 @@ impl PowerManager {
         let dvs = DvsPolicy::smartbadge(config.mp3_target_delay_s, config.mpeg_target_delay_s)?
             .with_queue_model(config.queue_model)?;
         let costs = DpmCosts::managed_subsystem(badge);
-        let dpm = config.dpm.build(&costs, &config.idle_model()?)?;
+        let dpm = shared.dpm_policy(&config.dpm, &costs, &config.idle_model()?)?;
         let supervisor = match &config.supervisor {
             Some(sup) => {
                 sup.validate()?;

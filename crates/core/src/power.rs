@@ -34,13 +34,30 @@ pub const MANAGED_COMPONENTS: [ComponentId; 4] = [
 ];
 
 /// Power draw per managed component, milliwatts, in
-/// [`MANAGED_COMPONENTS`] order.
+/// [`MANAGED_COMPONENTS`] order. Every constructor checks that each
+/// power is finite and non-negative, so integrating a profile needs no
+/// check per interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     mw: [f64; 4],
 }
 
 impl PowerProfile {
+    /// A profile of checked powers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any power is negative or not finite.
+    fn checked(mw: [f64; 4]) -> Self {
+        for p in mw {
+            assert!(
+                p.is_finite() && p >= 0.0,
+                "power must be finite and non-negative, got {p}"
+            );
+        }
+        PowerProfile { mw }
+    }
+
     /// Profile while decoding `kind` at operating point `op`: CPU active
     /// at the (frequency/voltage-scaled) DVS power, FLASH idle, the
     /// decode memory active, the other memory bank idle.
@@ -57,7 +74,8 @@ impl PowerProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `mem_activity` is outside `(0, 1]`.
+    /// Panics if `mem_activity` is outside `(0, 1]` or a component's
+    /// power is negative or not finite.
     #[must_use]
     pub fn decode(
         badge: &SmartBadge,
@@ -74,9 +92,9 @@ impl PowerProfile {
             DecodeMemory::Sram => (ComponentId::Sram, ComponentId::Dram),
             DecodeMemory::Dram => (ComponentId::Dram, ComponentId::Sram),
         };
-        let mut profile = PowerProfile { mw: [0.0; 4] };
+        let mut mw = [0.0; 4];
         for (i, id) in MANAGED_COMPONENTS.iter().enumerate() {
-            profile.mw[i] = match *id {
+            mw[i] = match *id {
                 ComponentId::Cpu => badge.cpu().active_power_mw(op),
                 ComponentId::Flash => badge.component(*id).idle_mw,
                 id if id == decode_mem => {
@@ -87,17 +105,17 @@ impl PowerProfile {
                 _ => unreachable!("all managed components covered"),
             };
         }
-        profile
+        Self::checked(mw)
     }
 
     /// Profile with every managed component in `state`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a component's power is negative or not finite.
     #[must_use]
     pub fn uniform(badge: &SmartBadge, state: PowerState) -> Self {
-        let mut profile = PowerProfile { mw: [0.0; 4] };
-        for (i, id) in MANAGED_COMPONENTS.iter().enumerate() {
-            profile.mw[i] = badge.component(*id).power_mw(state);
-        }
-        profile
+        Self::checked(MANAGED_COMPONENTS.map(|id| badge.component(id).power_mw(state)))
     }
 
     /// Profile during a wake-up transition: every managed component at
@@ -114,13 +132,16 @@ impl PowerProfile {
     }
 
     /// Integrates this profile over `dt` into the meter, attributing per
-    /// component, and advances the meter's elapsed time.
+    /// component, and advances the meter's elapsed time. The span is
+    /// converted to seconds once; each component then adds exactly what
+    /// [`EnergyMeter::accumulate`] would.
     #[inline]
     pub fn accumulate_into(&self, meter: &mut EnergyMeter, dt: SimDuration) {
+        let dt_s = dt.as_secs_f64();
         for (i, id) in MANAGED_COMPONENTS.iter().enumerate() {
-            meter.accumulate(*id, self.mw[i], dt);
+            meter.accumulate_secs(*id, self.mw[i], dt_s);
         }
-        meter.advance_time(dt);
+        meter.advance_secs(dt_s);
     }
 }
 
@@ -195,6 +216,29 @@ mod tests {
     fn zero_activity_panics() {
         let b = badge();
         let _ = PowerProfile::decode(&b, b.cpu().max_operating_point(), MediaKind::Mp3Audio, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn bad_powers_are_rejected_when_the_profile_is_built() {
+        let _ = PowerProfile::checked([400.0, 5.0, f64::NAN, 10.0]);
+    }
+
+    #[test]
+    fn accumulate_into_adds_what_per_component_accumulate_adds() {
+        let b = badge();
+        let op = b.cpu().min_operating_point();
+        let p = PowerProfile::decode(&b, op, MediaKind::MpegVideo, 0.37);
+        let (mut once, mut each) = (EnergyMeter::new(), EnergyMeter::new());
+        for ns in [1u64, 999, 33_333_333, 7_000_000_001] {
+            let dt = SimDuration::from_nanos(ns);
+            p.accumulate_into(&mut once, dt);
+            for (i, id) in MANAGED_COMPONENTS.iter().enumerate() {
+                each.accumulate(*id, p.mw[i], dt);
+            }
+            each.advance_time(dt);
+        }
+        assert_eq!(once, each);
     }
 
     #[test]

@@ -100,28 +100,48 @@ pub struct ChangePointDetector {
     k_step: usize,
     since_check: usize,
     last_stat: Option<DetectionStat>,
-    /// `(threshold, kernel)` per candidate ratio, with the kernel's
-    /// `ln()` precomputed for the current baseline rate. Rebuilt only
-    /// when `rate` changes (detection or reset) — the per-sample test
-    /// then runs without a single `ln()` call.
-    kernels: Vec<(f64, RatioKernel)>,
-    /// `(tail_len, tail_sum)` at every checked change index of the
-    /// window under test. The sums depend on the window only, so each
-    /// test computes them once and scores every candidate ratio against
-    /// them; preallocated for a full window, so a test never allocates.
-    tails: Vec<(usize, f64)>,
+    /// The candidate ratios' scoring state for the current baseline.
+    candidates: Candidates,
 }
 
-/// Precomputes per-candidate kernels for a baseline rate. The candidate
-/// rate is formed as `rate * ratio` and divided back by `rate` inside
-/// [`RatioKernel::new`] — the exact float expressions the unhoisted
-/// per-test evaluation used, so detection sequences are bit-identical.
-fn build_kernels(rate: f64, table: &ThresholdTable) -> Vec<(f64, RatioKernel)> {
-    table
-        .entries()
-        .iter()
-        .map(|&(ratio, threshold)| (threshold, RatioKernel::new(rate, rate * ratio)))
-        .collect()
+/// Scoring state of every candidate ratio, in table order, laid out as
+/// one array per quantity so a test's inner loop — every candidate
+/// against one tail — runs over contiguous lanes and vectorizes.
+#[derive(Debug, Clone, Default)]
+struct Candidates {
+    threshold: Vec<f64>,
+    /// [`RatioKernel`]'s `ln(λn/λo)` per candidate, for the current
+    /// baseline rate. Rebuilt only when the rate changes (detection or
+    /// reset), so a test runs without a single `ln()` call.
+    ln_ratio: Vec<f64>,
+    /// [`RatioKernel`]'s `λn − λo` per candidate.
+    rate_diff: Vec<f64>,
+    /// Per-test scratch: running `ln P_max` per candidate.
+    ln_p_max: Vec<f64>,
+    /// Per-test scratch: the tail length at `ln_p_max`.
+    best_tail: Vec<usize>,
+}
+
+impl Candidates {
+    /// Rebuilds the kernels for baseline `rate`, reusing the arrays.
+    /// The candidate rate is formed as `rate * ratio` and divided back
+    /// by `rate` inside [`RatioKernel::new`] — the exact float
+    /// expressions the unhoisted per-test evaluation used, so detection
+    /// sequences are bit-identical.
+    fn rebuild(&mut self, rate: f64, table: &ThresholdTable) {
+        let n = table.entries().len();
+        self.threshold.clear();
+        self.ln_ratio.clear();
+        self.rate_diff.clear();
+        for &(ratio, threshold) in table.entries() {
+            let kernel = RatioKernel::new(rate, rate * ratio);
+            self.threshold.push(threshold);
+            self.ln_ratio.push(kernel.ln_ratio());
+            self.rate_diff.push(kernel.rate_diff());
+        }
+        self.ln_p_max.resize(n, f64::NEG_INFINITY);
+        self.best_tail.resize(n, 0);
+    }
 }
 
 impl ChangePointDetector {
@@ -168,18 +188,17 @@ impl ChangePointDetector {
             });
         }
         let window = SampleWindow::new(table.config().window);
-        let kernels = build_kernels(initial_rate, &table);
-        let k_step = table.config().k_step;
+        let mut candidates = Candidates::default();
+        candidates.rebuild(initial_rate, &table);
         Ok(ChangePointDetector {
             rate: initial_rate,
-            k_step,
-            tails: Vec::with_capacity(window.capacity() / k_step),
+            k_step: table.config().k_step,
             table,
             check_interval,
             since_check: 0,
             window,
             last_stat: None,
-            kernels,
+            candidates,
         })
     }
 
@@ -206,35 +225,47 @@ impl ChangePointDetector {
     /// The candidate that clears its threshold by the widest margin, as
     /// `(tail_len, statistic)`. Each candidate's `ln P_max` is the
     /// maximum over the checked change indices `k ∈ {k_step, 2·k_step,
-    /// …}` exactly as [`crate::likelihood::maximize_kernel`] scans them
-    /// (same order, same strict `>`), so the result is bit-identical to
-    /// one scan per ratio.
+    /// …}`. The tails are visited once, in the order
+    /// [`crate::likelihood::maximize_kernel`] scans them, and each tail
+    /// updates every candidate's running maximum with the same strict
+    /// `>` and the same [`RatioKernel::ln_p`] expression, so the result
+    /// is bit-identical to one scan per ratio.
     fn strongest_change(&mut self) -> Option<(usize, DetectionStat)> {
         let m = self.window.len();
-        self.tails.clear();
+        let c = &mut self.candidates;
+        c.ln_p_max.fill(f64::NEG_INFINITY);
+        c.best_tail.fill(0);
         let mut k = self.k_step;
         while k + self.k_step <= m {
             let tail_len = m - k;
-            self.tails
-                .push((tail_len, self.window.suffix_sum(tail_len)));
+            let tail_sum = self.window.suffix_sum(tail_len);
+            let n = tail_len as f64;
+            for (((max, best), &ln_ratio), &rate_diff) in c
+                .ln_p_max
+                .iter_mut()
+                .zip(c.best_tail.iter_mut())
+                .zip(&c.ln_ratio)
+                .zip(&c.rate_diff)
+            {
+                let ln_p = n * ln_ratio - rate_diff * tail_sum;
+                // A bitwise select, so every lane stores and the loop
+                // needs no branch per candidate.
+                let keep = u64::from(ln_p > *max).wrapping_neg();
+                *max = f64::from_bits((ln_p.to_bits() & keep) | (max.to_bits() & !keep));
+                *best = (tail_len & keep as usize) | (*best & !keep as usize);
+            }
             k += self.k_step;
         }
         // (margin, tail_len, statistic of the winning candidate)
         let mut best: Option<(f64, usize, DetectionStat)> = None;
-        for &(threshold, ref kernel) in &self.kernels {
-            let (mut ln_p_max, mut best_tail) = (f64::NEG_INFINITY, 0);
-            for &(tail_len, tail_sum) in &self.tails {
-                let ln_p = kernel.ln_p(tail_len, tail_sum);
-                if ln_p > ln_p_max {
-                    ln_p_max = ln_p;
-                    best_tail = tail_len;
-                }
-            }
+        for ((&threshold, &ln_p_max), &tail_len) in
+            c.threshold.iter().zip(&c.ln_p_max).zip(&c.best_tail)
+        {
             let margin = ln_p_max - threshold;
             if margin > 0.0 && best.is_none_or(|(m, _, _)| margin > m) {
                 best = Some((
                     margin,
-                    best_tail,
+                    tail_len,
                     DetectionStat {
                         ln_p_max,
                         threshold,
@@ -252,7 +283,7 @@ impl ChangePointDetector {
         let new_rate = self.window.suffix_rate(tail_len);
         self.window.retain_last(tail_len);
         self.rate = new_rate;
-        self.kernels = build_kernels(new_rate, &self.table);
+        self.candidates.rebuild(new_rate, &self.table);
         self.last_stat = Some(stat);
         Some(RateChange {
             new_rate,
@@ -285,7 +316,7 @@ impl RateEstimator for ChangePointDetector {
             "initial rate must be positive"
         );
         self.rate = initial_rate;
-        self.kernels = build_kernels(initial_rate, &self.table);
+        self.candidates.rebuild(initial_rate, &self.table);
         self.window.clear();
         self.since_check = 0;
         self.last_stat = None;
@@ -478,8 +509,9 @@ mod tests {
     fn per_ratio_scan(det: &ChangePointDetector) -> Option<(usize, DetectionStat)> {
         use crate::likelihood::maximize_kernel;
         let mut best: Option<(f64, usize, DetectionStat)> = None;
-        for &(threshold, ref kernel) in &det.kernels {
-            let c = maximize_kernel(&det.window, kernel, det.k_step);
+        for &(ratio, threshold) in det.table.entries() {
+            let kernel = RatioKernel::new(det.rate, det.rate * ratio);
+            let c = maximize_kernel(&det.window, &kernel, det.k_step);
             let margin = c.ln_p_max - threshold;
             if margin > 0.0 && best.is_none_or(|(m, _, _)| margin > m) {
                 let stat = DetectionStat {

@@ -89,6 +89,18 @@ impl RatioKernel {
         self.rate_new
     }
 
+    /// `ln(λn/λo)`, the per-sample term of [`Self::ln_p`].
+    #[inline]
+    pub(crate) fn ln_ratio(&self) -> f64 {
+        self.ln_ratio
+    }
+
+    /// `λn − λo`, the per-second term of [`Self::ln_p`].
+    #[inline]
+    pub(crate) fn rate_diff(&self) -> f64 {
+        self.rate_diff
+    }
+
     /// Evaluates `ln P(k)` for a tail of `tail_len` samples summing to
     /// `tail_sum`.
     #[inline]

@@ -271,6 +271,13 @@ impl TismdpPolicy {
         self.plan.is_well_formed()
     }
 
+    /// What a device runs of this policy: its fixed plan, as a `Copy`
+    /// policy, so one solve can serve any number of devices.
+    #[must_use]
+    pub fn device_policy(&self) -> TismdpPlan {
+        TismdpPlan { plan: self.plan }
+    }
+
     #[cfg(test)]
     fn chosen_mode_path(&self) -> Vec<usize> {
         let mut mode = Mode::Idle;
@@ -284,6 +291,24 @@ impl TismdpPolicy {
 }
 
 impl DpmPolicy for TismdpPolicy {
+    fn plan_idle(&mut self, _rng: &mut SimRng) -> IdlePlan {
+        self.plan
+    }
+
+    fn name(&self) -> &'static str {
+        "tismdp"
+    }
+}
+
+/// A solved [`TismdpPolicy`] reduced to the plan it follows every idle
+/// period ([`TismdpPolicy::device_policy`]). It plans and reports
+/// exactly as the full policy does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TismdpPlan {
+    plan: IdlePlan,
+}
+
+impl DpmPolicy for TismdpPlan {
     fn plan_idle(&mut self, _rng: &mut SimRng) -> IdlePlan {
         self.plan
     }
@@ -459,5 +484,8 @@ mod tests {
         let plan = p.plan_idle(&mut SimRng::seed_from(0));
         assert_eq!(&plan, p.plan());
         assert_eq!(p.name(), "tismdp");
+        let mut device = p.device_policy();
+        assert_eq!(device.plan_idle(&mut SimRng::seed_from(0)), plan);
+        assert_eq!(device.name(), p.name());
     }
 }

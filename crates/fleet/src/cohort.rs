@@ -16,7 +16,10 @@
 //!   threshold table **once per run** (one cache lookup per policy, not
 //!   per device) and hands the [`SharedResources`] to each device
 //!   construction, so the per-device hot path performs zero cache
-//!   traffic.
+//!   traffic. The policy's first device solves a renewal or TISMDP DPM
+//!   policy into the same resources, and every later device gets a
+//!   copy; that solve stays out of `prepare`, so set-up does not pay
+//!   for it.
 //! * [`cohort_key`] is the schedule key for
 //!   [`simcore::par::par_try_fold_range_batched_by`]: within a batch,
 //!   devices of the same cohort are claimed back-to-back by one worker,
@@ -91,9 +94,7 @@ impl CohortResources {
     /// for indexes this run never prepared (the reference path).
     #[must_use]
     pub fn for_policy(&self, policy_index: usize) -> &SharedResources {
-        static EMPTY: SharedResources = SharedResources {
-            threshold_table: None,
-        };
+        static EMPTY: SharedResources = SharedResources::new();
         self.shared.get(policy_index).unwrap_or(&EMPTY)
     }
 }

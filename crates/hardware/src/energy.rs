@@ -54,9 +54,19 @@ impl EnergyMeter {
             power_mw.is_finite() && power_mw >= 0.0,
             "power must be finite and non-negative, got {power_mw}"
         );
+        self.accumulate_secs(id, power_mw, dt.as_secs_f64());
+    }
+
+    /// [`Self::accumulate`] for a span already converted to seconds,
+    /// without the power check: for callers that checked their powers
+    /// once up front and convert one span for several components.
+    /// `power_mw` must be finite and non-negative (debug-asserted).
+    #[inline]
+    pub fn accumulate_secs(&mut self, id: ComponentId, power_mw: f64, dt_s: f64) {
+        debug_assert!(power_mw.is_finite() && power_mw >= 0.0);
         let i = id.index();
         self.touched[i] = true;
-        self.joules[i] += power_mw * 1e-3 * dt.as_secs_f64();
+        self.joules[i] += power_mw * 1e-3 * dt_s;
     }
 
     /// Records wall-clock progress without attributing energy; used so the
@@ -69,7 +79,13 @@ impl EnergyMeter {
     /// the two at the end of every run.
     #[inline]
     pub fn advance_time(&mut self, dt: SimDuration) {
-        self.elapsed_secs += dt.as_secs_f64();
+        self.advance_secs(dt.as_secs_f64());
+    }
+
+    /// [`Self::advance_time`] for a span already converted to seconds.
+    #[inline]
+    pub fn advance_secs(&mut self, dt_s: f64) {
+        self.elapsed_secs += dt_s;
     }
 
     /// Joules attributed to `id` so far.

@@ -1,22 +1,16 @@
-//! Deterministic event queues.
+//! Deterministic event queue.
 //!
 //! [`EventQueue`] is a priority queue keyed on [`SimTime`] with **stable FIFO
 //! ordering for simultaneous events**: two events scheduled for the same
 //! instant are popped in the order they were pushed. This determinism is what
 //! lets every experiment in the workspace reproduce bit-identical results for
-//! a given seed.
-//!
-//! [`LaneQueue`] is the same contract specialized for simulators whose
-//! pending-event population is a handful of *kinds*: a fixed array of
-//! single-entry lanes plus a sorted spill list, popped by an argmin
-//! scan instead of heap sifting. It is sequence-numbered with the same
-//! global counter, so its pop order — including FIFO ties — is identical
-//! to [`EventQueue`]'s for **every** push sequence, which keeps the heap
-//! queue usable as a differential-test reference.
+//! a given seed. The full-system simulator schedules through a specialized
+//! agenda of its own and keeps this queue as that agenda's differential-test
+//! reference.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// An event scheduled in an [`EventQueue`], pairing a payload with its due
 /// time.
@@ -189,212 +183,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// A deterministic min-priority queue of timed events, laid out as
-/// `LANES` single-entry lanes plus a sorted spill list.
-///
-/// Simulators whose steady state holds one pending event per *kind*
-/// (next arrival, decode completion, wake-up, …) assign each kind a
-/// lane at push time; the overflow — a second event of an occupied
-/// lane, or a lane index `≥ LANES` — lands in the spill list (kept
-/// sorted ascending, so its own minimum is an `O(1)` peek at the
-/// front, and an entry later than everything spilled is an `O(1)`
-/// append at the back). A pop is a branch-free argmin over `LANES + 1`
-/// candidates — no sift-down, no branch-mispredicting heap walk.
-///
-/// The lane index is a **placement hint only**: it never affects
-/// ordering. Every push draws from one global sequence counter and
-/// pops are ordered by `(time, sequence)` exactly like [`EventQueue`],
-/// so for any interleaving of pushes and pops — any lanes, any
-/// collisions — the two queues produce identical `Scheduled` streams
-/// (pinned by the differential tests in `tests/lane_differential.rs`).
-///
-/// # Example
-///
-/// ```
-/// use simcore::event::LaneQueue;
-/// use simcore::time::SimTime;
-///
-/// let mut q: LaneQueue<&str, 2> = LaneQueue::new();
-/// q.push(0, SimTime::from_nanos(20), "decode done");
-/// q.push(1, SimTime::from_nanos(10), "frame arrival");
-/// q.push(1, SimTime::from_nanos(10), "timer"); // lane occupied: spills
-///
-/// assert_eq!(q.pop().unwrap().event, "frame arrival");
-/// // FIFO among simultaneous events, across lanes and spill alike:
-/// assert_eq!(q.pop().unwrap().event, "timer");
-/// assert_eq!(q.pop().unwrap().event, "decode done");
-/// assert!(q.pop().is_none());
-/// ```
-#[derive(Debug)]
-pub struct LaneQueue<E, const LANES: usize> {
-    /// Packed `(at, seq)` sort key per lane — `at` in the high 64 bits,
-    /// `seq` in the low 64 — so one integer comparison orders entries
-    /// exactly like the `(at, seq)` tuple. [`EMPTY_KEY`] marks a free
-    /// lane. The keys live in their own compact array so `pop`'s argmin
-    /// scans one cache line of plain integers instead of walking full
-    /// entries whose payloads can be large.
-    keys: [u128; LANES],
-    /// Event payloads per lane; occupied exactly when the matching key
-    /// is not [`EMPTY_KEY`].
-    slots: [Option<E>; LANES],
-    /// Overflow entries as `(packed key, payload)`, sorted ascending
-    /// by key: the queue-wide minimum candidate is the front, and
-    /// entries pushed in time order append at the back.
-    spill: VecDeque<(u128, E)>,
-    next_seq: u64,
-    now: SimTime,
-}
-
-/// Key of a free lane. Sorts after every real packed key: `seq` is a
-/// per-queue push counter, so a real key equals this sentinel only
-/// after `u64::MAX` pushes, which cannot happen in practice
-/// (debug-asserted in [`LaneQueue::push`]).
-const EMPTY_KEY: u128 = u128::MAX;
-
-/// Packs an `(at, seq)` pair into one integer preserving its order.
-const fn pack_key(at: SimTime, seq: u64) -> u128 {
-    ((at.as_nanos() as u128) << 64) | seq as u128
-}
-
-impl<E, const LANES: usize> LaneQueue<E, LANES> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_spill_capacity(0)
-    }
-
-    /// Creates an empty queue whose spill list holds `capacity` entries
-    /// before reallocating. Simulators that know their worst-case
-    /// overflow population preallocate here and keep the hot loop
-    /// reallocation-free.
-    #[must_use]
-    pub fn with_spill_capacity(capacity: usize) -> Self {
-        LaneQueue {
-            keys: [EMPTY_KEY; LANES],
-            slots: std::array::from_fn(|_| None),
-            spill: VecDeque::with_capacity(capacity),
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The current simulation time: the due time of the most recently
-    /// popped event, or [`SimTime::ZERO`] if nothing has been popped
-    /// yet.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `event` at instant `at`, preferring slot `lane`.
-    ///
-    /// If the lane is free the entry occupies it; if it is taken — or
-    /// `lane ≥ LANES` — the entry joins the spill list. Either way the
-    /// event participates in the global `(time, sequence)` order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current simulation time — the
-    /// simulated past cannot be changed. Scheduling *at* the current
-    /// time is allowed (zero-delay events).
-    pub fn push(&mut self, lane: usize, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule an event at {at} in the past of {now}",
-            now = self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        debug_assert!(seq != u64::MAX, "sequence counter exhausted");
-        let key = pack_key(at, seq);
-        if lane < LANES && self.keys[lane] == EMPTY_KEY {
-            self.keys[lane] = key;
-            self.slots[lane] = Some(event);
-        } else if self.spill.back().is_none_or(|&(last, _)| last < key) {
-            self.spill.push_back((key, event));
-        } else {
-            // Keys are unique (seq is), so the insertion point is exact.
-            let pos = self.spill.partition_point(|&(k, _)| k < key);
-            self.spill.insert(pos, (key, event));
-        }
-    }
-
-    /// Removes and returns the earliest event, advancing the clock to
-    /// its due time. Simultaneous events pop in push order. Returns
-    /// `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        // Empty lanes (and an empty spill list) hold `EMPTY_KEY`, which
-        // loses every `<` comparison against a real key, so they drop
-        // out of the argmin without a separate occupancy test. Keys are
-        // unique, so the scan order cannot change the winner; the
-        // selects carry no data-dependent branch.
-        // `LANES` means "take from the spill list".
-        let mut best = self.spill.front().map_or(EMPTY_KEY, |&(key, _)| key);
-        let mut best_lane = LANES;
-        for (i, &key) in self.keys.iter().enumerate() {
-            let less = key < best;
-            best = if less { key } else { best };
-            best_lane = if less { i } else { best_lane };
-        }
-        if best == EMPTY_KEY {
-            return None;
-        }
-        let event = if best_lane == LANES {
-            self.spill
-                .pop_front()
-                .expect("argmin picked a spill entry")
-                .1
-        } else {
-            self.keys[best_lane] = EMPTY_KEY;
-            self.slots[best_lane].take().expect("argmin picked a slot")
-        };
-        let at = SimTime::from_nanos((best >> 64) as u64);
-        self.now = at;
-        Some(Scheduled { at, event })
-    }
-
-    /// The due time of the earliest pending event, if any, without
-    /// popping.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let slot_min = self.keys.iter().copied().min().unwrap_or(EMPTY_KEY);
-        let spill_min = self.spill.front().map_or(EMPTY_KEY, |&(key, _)| key);
-        let best = slot_min.min(spill_min);
-        if best == EMPTY_KEY {
-            None
-        } else {
-            Some(SimTime::from_nanos((best >> 64) as u64))
-        }
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.keys.iter().filter(|&&k| k != EMPTY_KEY).count() + self.spill.len()
-    }
-
-    /// `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spill.is_empty() && self.keys.iter().all(|&k| k == EMPTY_KEY)
-    }
-
-    /// Discards all pending events without advancing the clock.
-    pub fn clear(&mut self) {
-        self.keys = [EMPTY_KEY; LANES];
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.spill.clear();
-    }
-}
-
-impl<E, const LANES: usize> Default for LaneQueue<E, LANES> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,128 +275,5 @@ mod tests {
         q.push(q.now() + SimDuration::from_nanos(10), 2);
         assert_eq!(q.pop().unwrap().event, 2);
         assert_eq!(q.pop().unwrap().event, 3);
-    }
-
-    #[test]
-    fn lane_queue_pops_in_time_order_across_lanes() {
-        let mut q: LaneQueue<i32, 3> = LaneQueue::new();
-        q.push(2, SimTime::from_nanos(30), 3);
-        q.push(0, SimTime::from_nanos(10), 1);
-        q.push(1, SimTime::from_nanos(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn lane_queue_simultaneous_events_are_fifo_even_when_spilled() {
-        // One lane, 100 simultaneous events: 99 spill. Pop order must
-        // still be push order, exactly like the heap queue.
-        let mut q: LaneQueue<i32, 1> = LaneQueue::new();
-        let t = SimTime::from_nanos(5);
-        for i in 0..100 {
-            q.push(0, t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lane_queue_spilled_event_may_precede_the_slot_holder() {
-        // The slot holds a LATER event than the spilled one: the argmin
-        // must take the spill entry first.
-        let mut q: LaneQueue<&str, 1> = LaneQueue::new();
-        q.push(0, SimTime::from_nanos(50), "late slot");
-        q.push(0, SimTime::from_nanos(10), "early spill");
-        assert_eq!(q.pop().unwrap().event, "early spill");
-        assert_eq!(q.pop().unwrap().event, "late slot");
-    }
-
-    #[test]
-    fn lane_queue_out_of_range_lane_spills() {
-        let mut q: LaneQueue<i32, 2> = LaneQueue::new();
-        q.push(7, SimTime::from_nanos(10), 1);
-        q.push(99, SimTime::from_nanos(10), 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().event, 1);
-        assert_eq!(q.pop().unwrap().event, 2);
-    }
-
-    #[test]
-    fn lane_queue_clock_advances_on_pop() {
-        let mut q: LaneQueue<(), 2> = LaneQueue::new();
-        q.push(0, SimTime::from_nanos(42), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_nanos(42));
-    }
-
-    #[test]
-    #[should_panic(expected = "in the past")]
-    fn lane_queue_scheduling_in_the_past_panics() {
-        let mut q: LaneQueue<(), 2> = LaneQueue::new();
-        q.push(0, SimTime::from_nanos(10), ());
-        q.pop();
-        q.push(1, SimTime::from_nanos(5), ());
-    }
-
-    #[test]
-    fn lane_queue_zero_delay_events_allowed() {
-        let mut q: LaneQueue<&str, 2> = LaneQueue::new();
-        q.push(0, SimTime::from_nanos(10), "a");
-        q.pop();
-        q.push(0, q.now(), "b");
-        assert_eq!(q.pop().unwrap().event, "b");
-    }
-
-    #[test]
-    fn lane_queue_peek_len_clear() {
-        let mut q: LaneQueue<char, 2> = LaneQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(0, SimTime::from_secs_f64(1.0), 'x');
-        q.push(0, SimTime::from_secs_f64(0.5), 'y'); // spills, is the min
-        q.push(1, SimTime::from_secs_f64(0.75), 'z');
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs_f64(0.5)));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn lane_queue_with_spill_capacity_stays_allocation_stable() {
-        let mut q: LaneQueue<u64, 1> = LaneQueue::with_spill_capacity(16);
-        let cap = q.spill.capacity();
-        assert!(cap >= 16);
-        for i in 0..16 {
-            q.push(0, SimTime::from_nanos(i), i);
-        }
-        assert_eq!(q.spill.capacity(), cap, "no growth within preallocation");
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(order, (0..16).collect::<Vec<_>>());
-    }
-
-    /// The differential contract in miniature: a mixed random workload
-    /// through both queues pops identically. The heavyweight version
-    /// (random lanes, collisions, interleaved pops) lives in
-    /// `tests/lane_differential.rs`.
-    #[test]
-    fn lane_queue_matches_event_queue_on_a_mixed_schedule() {
-        let mut heap = EventQueue::new();
-        let mut lanes: LaneQueue<u32, 3> = LaneQueue::new();
-        let times = [30u64, 10, 10, 50, 20, 20, 20, 40, 10, 60];
-        for (i, &t) in times.iter().enumerate() {
-            let at = SimTime::from_nanos(t);
-            heap.push(at, i as u32);
-            lanes.push(i % 4, at, i as u32);
-        }
-        loop {
-            let (a, b) = (heap.pop(), lanes.pop());
-            assert_eq!(a, b);
-            assert_eq!(heap.now(), lanes.now());
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

@@ -228,17 +228,70 @@ fn write_seq(
     out.push(close);
 }
 
-/// Appends an integer exactly as [`Json::Int`] serializes it.
+/// Two ASCII digits for each value `0..100`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `n` in decimal, two digits per division, as `{n}` would.
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        pos -= 1;
+        buf[pos] = b'0' + n as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[pos..]).expect("ASCII digits"));
+}
+
+/// Appends an integer exactly as [`Json::Int`] serializes it (`{i}`).
 pub fn write_int(out: &mut String, i: i64) {
-    // Formatting into a `String` cannot fail.
-    let _ = write!(out, "{i}");
+    if i < 0 {
+        out.push('-');
+    }
+    write_u64(out, i.unsigned_abs());
 }
 
 /// Appends a float exactly as [`Json::Num`] serializes it: Rust's
 /// shortest round-trip form, with `.0` added to integral values so they
 /// re-parse as floats, and `null` for NaN and the infinities.
+///
+/// Seconds converted from whole nanoseconds below 2^22 s — trace
+/// delays, residencies — take a shortcut: their shortest round trip is
+/// their nine-place decimal with trailing zeros dropped, printed without
+/// the general shortest-digits search.
 pub fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
+    if let Some(nanos) = whole_nanos(x) {
+        write_u64(out, nanos / 1_000_000_000);
+        out.push('.');
+        let frac = nanos % 1_000_000_000;
+        if frac == 0 {
+            out.push('0');
+        } else {
+            // Nine places, zero-padded, trailing zeros dropped.
+            let mut digits = [b'0'; 9];
+            let mut rest = frac;
+            for d in digits.iter_mut().rev() {
+                *d = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
+            let end = digits.iter().rposition(|&d| d != b'0').map_or(0, |i| i + 1);
+            out.push_str(std::str::from_utf8(&digits[..end]).expect("ASCII digits"));
+        }
+    } else if x.is_finite() {
         let start = out.len();
         let _ = write!(out, "{x}");
         // Keep floats recognizable as floats on re-parse.
@@ -249,6 +302,32 @@ pub fn write_f64(out: &mut String, x: f64) {
         // JSON has no NaN/Infinity; follow serde_json's lossy convention.
         out.push_str("null");
     }
+}
+
+/// `n` when `x` is the `f64` nearest to `n / 10^9` for a whole `n`
+/// below `2^22 · 10^9` (`x` below 2^22 s ≈ 48.5 days, sign bit clear).
+///
+/// Such an `x` prints under `{}` as the decimal `D = n / 10^9` written
+/// with nine places and trailing zeros dropped. `D` rounds to `x`, and
+/// every decimal that rounds to `x` lies within one `f64` spacing of
+/// it: less than 10^-9 below 2^22, and less than 10^-15 · `D`. Any
+/// other decimal with no more significant digits than `D` lies farther.
+/// Starting on `D`'s leading place or a higher one, it differs by a
+/// whole unit of `D`'s last place, at least 10^-9. Starting lower, it
+/// lies below `D`'s leading power of ten: by a tenth of `D` if `D` is
+/// that power, and by more than `D`'s last place otherwise. So `D` is
+/// the unique shortest round trip, which is what `{}` prints; the
+/// property tests below compare the two.
+fn whole_nanos(x: f64) -> Option<u64> {
+    const LIMIT_S: f64 = 4_194_304.0; // 2^22
+    if !(0.0..LIMIT_S).contains(&x) || x.is_sign_negative() {
+        return None;
+    }
+    // `x · 10^9 < 2^52`: `n` is the nearest whole number or one off,
+    // and the exact check below decides. Both casts stay below 2^53, so
+    // the signed conversions are exact.
+    let n = (x * 1e9 + 0.5) as i64;
+    (n as f64 / 1e9 == x).then_some(n as u64)
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -860,6 +939,98 @@ mod tests {
             )
         );
         assert_eq!(buf, "prefix:-423.0null");
+    }
+
+    /// What [`write_f64`] must print: `{}` plus the float markers.
+    fn display_f64(x: f64) -> String {
+        if !x.is_finite() {
+            return "null".to_owned();
+        }
+        let s = x.to_string();
+        if s.contains(['.', 'e', 'E']) {
+            s
+        } else {
+            s + ".0"
+        }
+    }
+
+    fn written(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
+    }
+
+    /// A uniform draw from `0..bound`, from proptest's `u64`.
+    fn below(r: u64, bound: u64) -> u64 {
+        ((u128::from(r) * u128::from(bound)) >> 64) as u64
+    }
+
+    #[test]
+    fn number_writers_match_display_at_the_edges() {
+        for i in [0, 1, 9, 10, 99, 100, -1, -10, -100, i64::MAX, i64::MIN] {
+            assert_eq!(written(|o| write_int(o, i)), i.to_string());
+        }
+        let limit = 4_194_304.0f64;
+        for x in [
+            0.0,
+            -0.0,
+            1e-9,
+            0.1,
+            0.5,
+            1.0,
+            1.000000001,
+            0.999999999,
+            123.456789012,
+            limit,
+            limit.next_down(),
+            (limit * 1e9 - 1.0) / 1e9,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e300,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            assert_eq!(written(|o| write_f64(o, x)), display_f64(x), "{x:e}");
+        }
+        assert_eq!(whole_nanos(0.5), Some(500_000_000));
+        assert_eq!(
+            whole_nanos((limit * 1e9 - 1.0) / 1e9),
+            Some(4_194_303_999_999_999)
+        );
+        assert_eq!(whole_nanos(limit), None);
+        assert_eq!(whole_nanos(-0.0), None);
+        assert_eq!(whole_nanos(1e-10), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn int_writer_matches_display(r in proptest::prelude::any::<u64>()) {
+            let i = r as i64;
+            // Small magnitudes too, where the digit-pair loop ends early.
+            let small = i >> (r % 64);
+            assert_eq!(written(|o| write_int(o, i)), i.to_string());
+            assert_eq!(written(|o| write_int(o, small)), small.to_string());
+        }
+
+        #[test]
+        fn float_writer_matches_display_on_any_bits(r in proptest::prelude::any::<u64>()) {
+            let x = f64::from_bits(r);
+            assert_eq!(written(|o| write_f64(o, x)), display_f64(x), "{r:#x}");
+        }
+
+        /// Whole nanoseconds over 10^9 at every decade up to 2^22 s,
+        /// the shape of every trace delay, take the shortcut and match.
+        #[test]
+        fn float_writer_matches_display_on_nanosecond_seconds(r in proptest::prelude::any::<u64>()) {
+            let decade = r % 17;
+            let n = below(r.rotate_left(17), 10u64.pow(decade as u32)).min(4_194_303_999_999_999);
+            let x = n as f64 / 1e9;
+            assert_eq!(whole_nanos(x), Some(n), "{n}");
+            assert_eq!(written(|o| write_f64(o, x)), display_f64(x), "{n}");
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod stats;
 pub mod time;
 
 pub use dist::{Exponential, Sample};
-pub use event::{EventQueue, LaneQueue};
+pub use event::EventQueue;
 pub use json::{Json, ToJson};
 pub use par::Jobs;
 pub use rng::SimRng;

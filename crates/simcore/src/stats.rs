@@ -50,7 +50,7 @@ impl OnlineStats {
         self.count += 1;
         self.sum += x;
         let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
+        self.mean += delta / crate::time::u64_to_f64(self.count);
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);

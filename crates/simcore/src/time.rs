@@ -66,8 +66,9 @@ impl SimTime {
 
     /// Seconds since simulation start, as a float.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_SEC as f64
+        u64_to_f64(self.0) / NANOS_PER_SEC as f64
     }
 
     /// Duration elapsed since `earlier`, saturating to zero if `earlier` is
@@ -154,8 +155,9 @@ impl SimDuration {
 
     /// This span expressed in floating-point seconds.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_SEC as f64
+        u64_to_f64(self.0) / NANOS_PER_SEC as f64
     }
 
     /// `true` if this span is exactly zero.
@@ -183,6 +185,43 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `n as f64`. Below 2^63 — every instant of a simulation — it goes
+/// through the signed conversion, one instruction on x86-64 without
+/// AVX-512, where the unsigned one is a multi-instruction sequence.
+/// Both round the same integer to the same nearest `f64`.
+#[inline]
+pub(crate) fn u64_to_f64(n: u64) -> f64 {
+    if let Ok(signed) = i64::try_from(n) {
+        signed as f64
+    } else {
+        u64_to_f64_cold(n)
+    }
+}
+
+#[cold]
+fn u64_to_f64_cold(n: u64) -> f64 {
+    n as f64
+}
+
+/// `x as u64` for `0 <= x <= u64::MAX as f64`, through the signed
+/// conversion below 2^63 (see [`u64_to_f64`]). Both truncate toward
+/// zero.
+#[inline]
+fn f64_to_u64(x: f64) -> u64 {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if x < TWO_POW_63 {
+        x as i64 as u64
+    } else {
+        f64_to_u64_cold(x)
+    }
+}
+
+#[cold]
+fn f64_to_u64_cold(x: f64) -> u64 {
+    x as u64
+}
+
+#[inline]
 fn secs_to_nanos(secs: f64) -> u64 {
     assert!(
         secs.is_finite() && secs >= 0.0,
@@ -197,8 +236,8 @@ fn secs_to_nanos(secs: f64) -> u64 {
     // on targets without SSE4.1. For non-negative `nanos` the fraction
     // `nanos - truncated` is exact, and it is zero from 2^52 on, so
     // rounding half up from it is exactly `round`'s half-away-from-zero.
-    let truncated = nanos as u64;
-    if nanos - truncated as f64 >= 0.5 {
+    let truncated = f64_to_u64(nanos);
+    if nanos - u64_to_f64(truncated) >= 0.5 {
         truncated + 1
     } else {
         truncated
@@ -322,6 +361,39 @@ mod tests {
         for secs in probes {
             let expected = (secs * NANOS_PER_SEC as f64).round() as u64;
             assert_eq!(secs_to_nanos(secs), expected, "secs = {secs:e}");
+        }
+    }
+
+    #[test]
+    fn conversions_match_the_unsigned_casts() {
+        let mut ints = vec![
+            0u64,
+            1,
+            (1 << 53) + 1,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Every bit width, so both branches see many values.
+            ints.push(x >> (i % 64));
+        }
+        for n in ints {
+            assert_eq!(u64_to_f64(n).to_bits(), (n as f64).to_bits(), "{n}");
+            assert_eq!(
+                SimDuration::from_nanos(n).as_secs_f64().to_bits(),
+                (n as f64 / 1e9).to_bits()
+            );
+            let f = n as f64;
+            if f <= u64::MAX as f64 {
+                assert_eq!(f64_to_u64(f), f as u64, "{f:e}");
+                assert_eq!(f64_to_u64(f.next_down()), f.next_down() as u64);
+            }
         }
     }
 

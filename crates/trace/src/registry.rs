@@ -22,16 +22,19 @@
 //! never allocates after its first touch.
 
 use simcore::json::{Json, ToJson};
+use simcore::time::SimDuration;
 use std::collections::BTreeMap;
 
 /// Converts integer nanoseconds to seconds.
 ///
 /// This is *the* conversion used by both the simulator's report
 /// assembly and trace replay; sharing it guarantees the two produce
-/// identical `f64` values from identical nanosecond totals.
+/// identical `f64` values from identical nanosecond totals. It equals
+/// `ns as f64 / 1e9` bit for bit.
 #[must_use]
+#[inline]
 pub fn ns_to_secs(ns: u64) -> f64 {
-    ns as f64 / 1e9
+    SimDuration::from_nanos(ns).as_secs_f64()
 }
 
 /// Registry of named counters, gauges, and time-weighted series.

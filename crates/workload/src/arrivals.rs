@@ -58,35 +58,45 @@ pub fn generate_with_floor(schedule: &RateSchedule, floor: f64, rng: &mut SimRng
     // replaces: the unit-rate `fill` arm negates without dividing, the
     // `ln` kernel matches libm bit for bit, and `(-a)/λ' == -(a/λ')`
     // exactly in IEEE-754. The draws carry no rate, so the buffer
-    // survives segment-boundary rate changes. The caller's RNG is
-    // advanced past exactly the consumed draws afterwards (one `next_u64`
-    // per draw), so downstream sampling sites — clip jitter is drawn from
-    // this same stream — see the state the scalar loop would have left.
+    // survives segment-boundary rate changes. Afterwards the caller's RNG
+    // is set to exactly the consumed draws' end: the scout's state at the
+    // start of the last block, advanced by the draws used from it (one
+    // `next_u64` per draw). Downstream sampling sites — clip jitter is
+    // drawn from this same stream — see the state the scalar loop would
+    // have left.
     let unit = Exponential::new(1.0).expect("rate 1.0 is a valid exponential rate");
     let mut scout = rng.clone();
+    let mut block_start = scout.clone();
     let mut block = [0.0f64; GAP_BLOCK];
     let mut pos = GAP_BLOCK; // empty; filled on first draw
-    let mut consumed: u64 = 0;
     let mut t = 0.0;
+    // The segment in force, looked up again only once `t` reaches its
+    // end: `t` never decreases, and for every later `t` short of the
+    // segment's end `rate_at(min(t, cap))` and `next_boundary(t)` return
+    // what they returned at the lookup.
+    let mut boundary = f64::NEG_INFINITY;
+    let mut residual_rate = 0.0;
     loop {
-        let rate = schedule.rate_at(f64::min(t, total * (1.0 - 1e-12)));
-        let mean_gap = 1.0 / rate;
-        assert!(
-            floor < mean_gap,
-            "floor {floor} must be below the mean gap {mean_gap}"
-        );
-        let residual_rate = 1.0 / (mean_gap - floor);
+        if t >= boundary {
+            let rate = schedule.rate_at(f64::min(t, total * (1.0 - 1e-12)));
+            let mean_gap = 1.0 / rate;
+            assert!(
+                floor < mean_gap,
+                "floor {floor} must be below the mean gap {mean_gap}"
+            );
+            residual_rate = 1.0 / (mean_gap - floor);
+            boundary = next_boundary(schedule, t);
+        }
         if pos == GAP_BLOCK {
+            block_start = scout.clone();
             unit.fill(&mut scout, &mut block);
             pos = 0;
         }
         let gap = floor + block[pos] / residual_rate;
         pos += 1;
-        consumed += 1;
         let candidate = t + gap;
         // Memoryless restart at segment boundaries: if the gap crosses into
         // a segment with a different rate, restart sampling at the boundary.
-        let boundary = next_boundary(schedule, t);
         if candidate > boundary && boundary < total {
             t = boundary;
             continue;
@@ -97,7 +107,8 @@ pub fn generate_with_floor(schedule: &RateSchedule, floor: f64, rng: &mut SimRng
         t = candidate;
         arrivals.push(t);
     }
-    for _ in 0..consumed {
+    *rng = block_start;
+    for _ in 0..pos {
         rng.next_u64();
     }
     arrivals

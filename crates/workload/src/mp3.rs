@@ -152,16 +152,24 @@ fn sequence_trace(clips: &[Mp3Clip], rng: &mut SimRng) -> Trace {
     .expect("table2 clips have valid rates and durations");
     let arrivals = arrivals::generate(&schedule, rng);
     let mut frames = Vec::with_capacity(arrivals.len());
-    for (i, t) in arrivals.iter().enumerate() {
-        let clip = clip_at(clips, *t);
+    // The clip playing, looked up again only once the (ascending)
+    // arrivals pass its end, with its per-frame constants.
+    let (mut clip, mut clip_end) = (&clips[0], f64::NEG_INFINITY);
+    let (mut decode_time, mut arrival_rate) = (0.0, 0.0);
+    for (i, &t) in arrivals.iter().enumerate() {
+        if t >= clip_end {
+            (clip, clip_end) = clip_at(clips, t);
+            decode_time = clip.mean_decode_time();
+            arrival_rate = clip.arrival_rate();
+        }
         // Nearly constant decode time within a clip: uniform ±5 % jitter.
         let jitter = 1.0 + INTRA_CLIP_JITTER * (2.0 * rng.next_f64() - 1.0);
         frames.push(FrameRecord {
             index: i as u64,
             kind: MediaKind::Mp3Audio,
-            arrival: SimTime::from_secs_f64(*t),
-            work: clip.mean_decode_time() * jitter,
-            true_arrival_rate: clip.arrival_rate(),
+            arrival: SimTime::from_secs_f64(t),
+            work: decode_time * jitter,
+            true_arrival_rate: arrival_rate,
             true_service_rate: clip.decode_rate,
         });
     }
@@ -169,15 +177,17 @@ fn sequence_trace(clips: &[Mp3Clip], rng: &mut SimRng) -> Trace {
     Trace::new(frames, end).expect("generated frames are sorted and valid")
 }
 
-fn clip_at(clips: &[Mp3Clip], t: f64) -> &Mp3Clip {
+/// The clip playing at `t`, and the time it ends (the sequence's end
+/// past the last clip).
+fn clip_at(clips: &[Mp3Clip], t: f64) -> (&Mp3Clip, f64) {
     let mut elapsed = 0.0;
     for c in clips {
         elapsed += c.duration_secs;
         if t < elapsed {
-            return c;
+            return (c, elapsed);
         }
     }
-    clips.last().expect("at least one clip")
+    (clips.last().expect("at least one clip"), elapsed)
 }
 
 #[cfg(test)]

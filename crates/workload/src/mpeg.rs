@@ -134,16 +134,25 @@ impl MpegClip {
         let gop_mean: f64 = GOP_MULTIPLIERS.iter().sum::<f64>() / GOP_MULTIPLIERS.len() as f64;
         let arrivals = arrivals::generate(&self.arrival_schedule, rng);
         let mut frames = Vec::with_capacity(arrivals.len());
-        for (i, t) in arrivals.iter().enumerate() {
-            let service_rate = self.service_schedule.rate_at(*t);
+        // Both rates, looked up again only once the (ascending) arrivals
+        // pass the end of the segment they came from.
+        let (mut service_rate, mut service_until) = (0.0, f64::NEG_INFINITY);
+        let (mut arrival_rate, mut arrival_until) = (0.0, f64::NEG_INFINITY);
+        for (i, &t) in arrivals.iter().enumerate() {
+            if t >= service_until {
+                (service_rate, service_until) = self.service_schedule.rate_until(t);
+            }
+            if t >= arrival_until {
+                (arrival_rate, arrival_until) = self.arrival_schedule.rate_until(t);
+            }
             let gop = GOP_MULTIPLIERS[i % GOP_MULTIPLIERS.len()] / gop_mean;
             let jitter = 1.0 + FRAME_JITTER * (2.0 * rng.next_f64() - 1.0);
             frames.push(FrameRecord {
                 index: i as u64,
                 kind: MediaKind::MpegVideo,
-                arrival: SimTime::from_secs_f64(*t),
+                arrival: SimTime::from_secs_f64(t),
                 work: gop * jitter / service_rate,
-                true_arrival_rate: self.arrival_schedule.rate_at(*t),
+                true_arrival_rate: arrival_rate,
                 true_service_rate: service_rate,
             });
         }

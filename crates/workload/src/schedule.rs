@@ -97,15 +97,29 @@ impl RateSchedule {
     /// Panics if `t` is negative or NaN.
     #[must_use]
     pub fn rate_at(&self, t: f64) -> f64 {
+        self.rate_until(t).0
+    }
+
+    /// The rate in force at `t`, and the end of the span over which
+    /// [`Self::rate_at`] keeps returning it: the end of `t`'s segment,
+    /// or infinity past the schedule's end. A caller walking forward in
+    /// time can reuse the rate until it reaches that end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is negative or NaN.
+    #[must_use]
+    pub fn rate_until(&self, t: f64) -> (f64, f64) {
         assert!(t >= 0.0, "schedule time must be non-negative");
         let mut elapsed = 0.0;
         for s in &self.segments {
             elapsed += s.duration;
             if t < elapsed {
-                return s.rate;
+                return (s.rate, elapsed);
             }
         }
-        self.segments.last().expect("validated non-empty").rate
+        let last = self.segments.last().expect("validated non-empty");
+        (last.rate, f64::INFINITY)
     }
 
     /// The instants (seconds from schedule start) at which the rate
